@@ -840,8 +840,8 @@ class ClusterCoordinator(Endpoint):
         """
         protocol = message.headers.get("protocol")
         if protocol == "stream-data" or protocol == "stream-batch":
-            # Batch envelopes carry their (single) originating device at
-            # the payload top level, so both shapes route identically.
+            # A record and an envelope both carry their (single)
+            # originating device at the payload top level.
             device_id = message.payload.get("device_id")
             shard = self.shard_for_device(device_id) \
                 if device_id is not None else self._mono

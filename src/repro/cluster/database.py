@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.core.common.records import StreamRecord
 from repro.obs.health import STATUS_DEGRADED, STATUS_DOWN, STATUS_OK
 from repro.osn.actions import OsnAction
 
@@ -125,10 +124,6 @@ class ClusterDatabase:
 
     def store_action(self, action: OsnAction) -> None:
         self._db_of_user(action.user_id).store_action(action)
-
-    def store_record(self, record: StreamRecord) -> None:
-        shard = self._coordinator.shard_for_device(record.device_id)
-        shard.database.store_record(record)
 
     def actions_of(self, user_id: str) -> list[dict]:
         merged: list[dict] = []

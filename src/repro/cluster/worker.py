@@ -99,8 +99,8 @@ class ShardWorker(ServerSenSocialManager):
             except StorageWriteError:
                 item.attempts += 1
                 if item.attempts >= self.durability.config.max_apply_attempts:
-                    self.durability._quarantine_item(
-                        item, "repeated_write_failure")
+                    self.durability._quarantine(
+                        item.batch, item.reply_to, "repeated_write_failure")
                 else:
                     admission.requeue(item)
                 continue

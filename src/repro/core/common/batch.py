@@ -1,29 +1,30 @@
 """Versioned batch wire envelope: N stream records packed column-wise.
 
-Per-record Python overhead dominates the sense→publish→ingest→fan-out
-spine once the algorithmic work is flat (ROADMAP item 2).  The fix is
-the classic one for staged pipelines — move *batches* through every
-stage so the per-message costs (transport, scheduling, journal frames,
-index passes) amortize across N records.
+Every uplink record travels as a :class:`RecordBatch`, from the mobile
+outbox to the server's docstore.  A fresh record on a connected link
+leaves as a batch of one; backlog (reconnect flushes, retry sweeps)
+leaves in batches of up to the sender's ``batch_max``, so the
+per-message costs (transport, scheduling, journal frames, index
+passes) amortize across N records exactly when there are N to send.
 
-:class:`RecordBatch` is the envelope.  It packs N records as
-tuple-packed parallel arrays (struct-of-arrays): one tuple per field,
-index ``i`` across all tuples describing record ``i``.  The columnar
-shape is not cosmetic — the journal appends the *columns* as one
+The envelope packs N records as tuple-packed parallel arrays
+(struct-of-arrays): one tuple per field, index ``i`` across all tuples
+describing record ``i``.  The columnar shape is not cosmetic — the
+journal appends the *columns* of a multi-record batch as one
 ``ingest_batch`` frame, which encodes roughly half the tokens of N
 per-record documents (field names are written once per batch instead
 of once per record), and replay rebuilds the per-record documents
-record-for-record identically to N singleton frames.
+record-for-record identically to N one-record ``ingest`` frames.
 
-Batching is a transport/execution optimization ONLY.  Delivery order,
+The batch size is a transport/execution choice ONLY.  Delivery order,
 dedup semantics, trace accounting and docstore contents must stay
-bit-identical to the per-record path; the invariants that make that
-hold are:
+bit-identical between N batches of one and one batch of N; the
+invariants that make that hold are:
 
 * ``store_documents()`` rebuilds dicts in exactly the key order of
   :meth:`StreamRecord.to_dict` (``trace`` present only when the record
-  carried one), so fingerprints over the docstore cannot tell the two
-  paths apart.
+  carried one), so fingerprints over the docstore cannot tell batch
+  sizes apart.
 * ``iter_records()`` reconstructs :class:`StreamRecord`s exactly as
   :meth:`StreamRecord.from_dict` would from the wire documents.
 * Flush boundaries are derived from the virtual clock (outbox sweep /
@@ -60,34 +61,40 @@ _COLUMNS = ("record_ids", "stream_ids", "user_ids", "device_ids",
             "modalities", "granularities", "timestamps", "values",
             "details", "osn_actions", "wire_bytes", "traces")
 
+#: Wire value → enum member: the values this decoder knows.  A dict hit
+#: replaces the enum's own lookup on every record; an unknown value
+#: still raises the enum's ValueError.
+_MODALITY_OF = {member.value: member for member in ModalityType}
+_GRANULARITY_OF = {member.value: member for member in Granularity}
+
 
 class RecordBatch:
-    """N stream records as tuple-packed parallel arrays."""
+    """N stream records as tuple-packed parallel arrays.
+
+    The constructor trusts its columns to be equal-length tuples, which
+    every ``from_*`` classmethod here guarantees by construction;
+    :meth:`from_payload` checks it for envelopes arriving from outside
+    the program.
+    """
 
     __slots__ = _COLUMNS
 
-    def __init__(self, *, record_ids=(), stream_ids=(), user_ids=(),
+    def __init__(self, record_ids=(), stream_ids=(), user_ids=(),
                  device_ids=(), modalities=(), granularities=(),
                  timestamps=(), values=(), details=(), osn_actions=(),
                  wire_bytes=(), traces=()):
-        self.record_ids = tuple(record_ids)
-        self.stream_ids = tuple(stream_ids)
-        self.user_ids = tuple(user_ids)
-        self.device_ids = tuple(device_ids)
-        self.modalities = tuple(modalities)
-        self.granularities = tuple(granularities)
-        self.timestamps = tuple(timestamps)
-        self.values = tuple(values)
-        self.details = tuple(details)
-        self.osn_actions = tuple(osn_actions)
-        self.wire_bytes = tuple(wire_bytes)
-        self.traces = tuple(traces)
-        n = len(self.record_ids)
-        for column in _COLUMNS[1:]:
-            if len(getattr(self, column)) != n:
-                raise ValueError(
-                    f"ragged batch: column {column!r} has "
-                    f"{len(getattr(self, column))} entries, expected {n}")
+        self.record_ids = record_ids
+        self.stream_ids = stream_ids
+        self.user_ids = user_ids
+        self.device_ids = device_ids
+        self.modalities = modalities
+        self.granularities = granularities
+        self.timestamps = timestamps
+        self.values = values
+        self.details = details
+        self.osn_actions = osn_actions
+        self.wire_bytes = wire_bytes
+        self.traces = traces
 
     # -- construction --------------------------------------------------
 
@@ -100,54 +107,36 @@ class RecordBatch:
         ``record_ids`` supplies the wire-level dedup ids (the record
         dataclass itself does not carry one); omitted ids become
         ``None`` — such records ride the batch but are never acked or
-        deduped, matching the per-record path for id-less payloads.
+        deduped.
         """
-        records = list(records)
+        rows = [(r.stream_id, r.user_id, r.device_id, r.modality.value,
+                 r.granularity.value, r.timestamp, r.value, dict(r.details),
+                 dict(r.osn_action) if r.osn_action else None, r.wire_bytes,
+                 r.trace.to_dict() if r.trace is not None else None)
+                for r in records]
         if record_ids is None:
-            ids: tuple[Any, ...] = (None,) * len(records)
+            ids: tuple[Any, ...] = (None,) * len(rows)
         else:
             ids = tuple(record_ids)
-            if len(ids) != len(records):
+            if len(ids) != len(rows):
                 raise ValueError(
-                    f"{len(ids)} record ids for {len(records)} records")
-        return cls(
-            record_ids=ids,
-            stream_ids=[r.stream_id for r in records],
-            user_ids=[r.user_id for r in records],
-            device_ids=[r.device_id for r in records],
-            modalities=[r.modality.value for r in records],
-            granularities=[r.granularity.value for r in records],
-            timestamps=[r.timestamp for r in records],
-            values=[r.value for r in records],
-            details=[dict(r.details) for r in records],
-            osn_actions=[dict(r.osn_action) if r.osn_action else None
-                         for r in records],
-            wire_bytes=[r.wire_bytes for r in records],
-            traces=[r.trace.to_dict() if r.trace is not None else None
-                    for r in records],
-        )
+                    f"{len(ids)} record ids for {len(rows)} records")
+        return cls(ids, *zip(*rows)) if rows else cls()
 
     @classmethod
     def from_documents(cls, documents: Iterable[dict[str, Any]],
                        ) -> "RecordBatch":
         """Pack wire documents (``StreamRecord.to_dict()`` shape, plus
         an optional ``record_id`` key as the mobile outbox appends).
+
+        A document missing a required field raises ``KeyError``.
         """
-        docs = list(documents)
-        return cls(
-            record_ids=[d.get("record_id") for d in docs],
-            stream_ids=[d["stream_id"] for d in docs],
-            user_ids=[d["user_id"] for d in docs],
-            device_ids=[d["device_id"] for d in docs],
-            modalities=[d["modality"] for d in docs],
-            granularities=[d["granularity"] for d in docs],
-            timestamps=[d["timestamp"] for d in docs],
-            values=[d["value"] for d in docs],
-            details=[d.get("details") or {} for d in docs],
-            osn_actions=[d.get("osn_action") for d in docs],
-            wire_bytes=[0] * len(docs),
-            traces=[d.get("trace") for d in docs],
-        )
+        rows = [(d.get("record_id"), d["stream_id"], d["user_id"],
+                 d["device_id"], d["modality"], d["granularity"],
+                 d["timestamp"], d["value"], d.get("details") or {},
+                 d.get("osn_action"), 0, d.get("trace"))
+                for d in documents]
+        return cls(*zip(*rows)) if rows else cls()
 
     # -- introspection -------------------------------------------------
 
@@ -155,70 +144,62 @@ class RecordBatch:
         return len(self.record_ids)
 
     @property
-    def size(self) -> int:
-        return len(self.record_ids)
-
-    @property
     def device_id(self) -> str | None:
         """Routing hint: the (single) originating device of the batch."""
         return self.device_ids[0] if self.device_ids else None
+
+    def unknown_members(self) -> list[int]:
+        """Positions whose modality or granularity is not a wire value
+        this decoder knows (``iter_records`` would raise on them)."""
+        return [index for index, (modality, granularity) in enumerate(
+                    zip(self.modalities, self.granularities))
+                if modality not in _MODALITY_OF
+                or granularity not in _GRANULARITY_OF]
 
     def select(self, indices: Iterable[int]) -> "RecordBatch":
         """A sub-batch of the given record positions, in order."""
         keep = list(indices)
         return RecordBatch(**{
-            column: [getattr(self, column)[i] for i in keep]
+            column: tuple([getattr(self, column)[i] for i in keep])
             for column in _COLUMNS})
 
     # -- unpacking -----------------------------------------------------
 
     def iter_records(self) -> Iterator[StreamRecord]:
-        """Rebuild records exactly as ``StreamRecord.from_dict`` would.
-
-        Enum lookups are cached per distinct wire value — batches are
-        overwhelmingly single-stream, so the cache hits N-1 times.
-        """
-        modality_of: dict[str, ModalityType] = {}
-        granularity_of: dict[str, Granularity] = {}
+        """Rebuild records exactly as ``StreamRecord.from_dict`` would."""
         trace_cls = None
-        for i in range(len(self.record_ids)):
-            modality = self.modalities[i]
-            enum_modality = modality_of.get(modality)
-            if enum_modality is None:
-                enum_modality = modality_of[modality] = ModalityType(modality)
-            granularity = self.granularities[i]
-            enum_granularity = granularity_of.get(granularity)
-            if enum_granularity is None:
-                enum_granularity = granularity_of[granularity] = (
-                    Granularity(granularity))
-            trace = self.traces[i]
+        for (stream_id, user_id, device_id, modality, granularity,
+             timestamp, value, details, osn_action, wire_bytes,
+             trace) in zip(self.stream_ids, self.user_ids, self.device_ids,
+                           self.modalities, self.granularities,
+                           self.timestamps, self.values, self.details,
+                           self.osn_actions, self.wire_bytes, self.traces):
             if trace is not None:
                 if trace_cls is None:
                     from repro.obs.trace import TraceContext as trace_cls
                 trace = trace_cls.from_dict(trace)
             yield StreamRecord(
-                stream_id=self.stream_ids[i],
-                user_id=self.user_ids[i],
-                device_id=self.device_ids[i],
-                modality=enum_modality,
-                granularity=enum_granularity,
-                timestamp=self.timestamps[i],
-                value=self.values[i],
-                details=dict(self.details[i]),
-                osn_action=self.osn_actions[i],
-                wire_bytes=self.wire_bytes[i],
+                stream_id=stream_id,
+                user_id=user_id,
+                device_id=device_id,
+                modality=_MODALITY_OF.get(modality)
+                or ModalityType(modality),
+                granularity=_GRANULARITY_OF.get(granularity)
+                or Granularity(granularity),
+                timestamp=timestamp,
+                value=value,
+                details=dict(details),
+                osn_action=osn_action,
+                wire_bytes=wire_bytes,
                 trace=trace,
             )
-
-    def records(self) -> list[StreamRecord]:
-        return list(self.iter_records())
 
     def store_documents(self) -> list[dict[str, Any]]:
         """Fresh per-record documents in ``StreamRecord.to_dict`` shape.
 
         Key order matches ``to_dict`` exactly and ``trace`` appears
-        only when the record carried one, so batched docstore contents
-        fingerprint identically to per-record ingest.  The returned
+        only when the record carried one, so docstore contents
+        fingerprint identically whatever the batch size.  The returned
         dicts are newly built (callers may hand them to
         ``insert_many(copy=False)``); nested ``value`` objects are
         shared with the wire payload — safe because stored records are
@@ -259,6 +240,8 @@ class RecordBatch:
 
     @classmethod
     def from_payload(cls, payload: dict[str, Any]) -> "RecordBatch":
+        """Decode a wire envelope, rejecting (``ValueError``) a missing
+        or newer wire version and columns of unequal length."""
         version = payload.get(BATCH_MARKER)
         if version is None:
             raise ValueError("payload is not a batch envelope "
@@ -266,8 +249,14 @@ class RecordBatch:
         if not isinstance(version, int) or version > BATCH_WIRE_VERSION:
             raise ValueError(f"unsupported batch wire version {version!r} "
                              f"(decoder speaks <= {BATCH_WIRE_VERSION})")
-        return cls(**{column: payload.get(column, ())
-                      for column in _COLUMNS})
+        columns = [tuple(payload.get(column, ())) for column in _COLUMNS]
+        n = len(columns[0])
+        for name, column in zip(_COLUMNS, columns):
+            if len(column) != n:
+                raise ValueError(
+                    f"ragged batch: column {name!r} has {len(column)} "
+                    f"entries, expected {n}")
+        return cls(*columns)
 
     def encode(self) -> bytes:
         """Canonical bytes via the durability codec (lossless)."""
@@ -280,21 +269,16 @@ class RecordBatch:
         return cls.from_payload(codec.loads(data))
 
 
-def is_batch_payload(payload: Any) -> bool:
-    """True when ``payload`` is a batch envelope dict."""
-    return isinstance(payload, dict) and BATCH_MARKER in payload
-
-
 # estimate_size({"record_id": x}) - estimate_size(x): the framing a
-# singleton ack dict adds around its record id — dict wrapper, key and
+# one-record ack dict adds around its record id — dict wrapper, key and
 # separator.  Computed once so batch-ack accounting never walks N
 # throwaway dicts.
 _ACK_OVERHEAD = (estimate_size({"record_id": ""}) - estimate_size(""))
 
 
 def ack_size(record_ids: Iterable[str]) -> int:
-    """Wire bytes of a coalesced batch ack: the *exact* sum of the N
-    singleton ``{"record_id": id}`` ack estimates it replaces, so byte
-    counters cannot tell the two ack shapes apart."""
+    """Wire bytes of a ``stream-batch-ack``: the *exact* sum of the N
+    one-record ``{"record_id": id}`` ack estimates, so byte counters
+    read the same whatever the batch size."""
     return sum(_ACK_OVERHEAD + estimate_size(record_id)
                for record_id in record_ids)

@@ -6,15 +6,14 @@ Implements the paper's client API (Figure 7): ``get_sensocial_manager``
 stream lifecycle, privacy re-screening, condition-gated duty cycles,
 OSN trigger handling, and periodic location reporting to the server.
 
-The uplink speaks two wire shapes.  Per-record transport (the default)
-sends one ``stream-data`` message per sensed record.  With ``batch_max``
-set, the store-and-forward outbox coalesces queued records into
-columnar ``stream-batch`` envelopes (:mod:`repro.core.common.batch`):
-a fresh record on a connected link still flushes immediately as a
-batch of one, while backlog — reconnect flushes, retry sweeps — leaves
-in chunks of up to ``batch_max``.  Either way the byte counters, link
-draws and ack bookkeeping are record-for-record identical; batching
-only amortizes the per-message overhead.
+The uplink speaks one wire shape: the store-and-forward outbox sends
+columnar ``stream-batch`` envelopes (:mod:`repro.core.common.batch`).
+A fresh record on a connected link flushes immediately as a batch of
+one, while backlog — reconnect flushes, retry sweeps — leaves in
+chunks of up to ``batch_max``.  Whatever the chunk size, the byte
+counters, link draws and ack bookkeeping are record-for-record
+identical; a larger ``batch_max`` only amortizes the per-message
+overhead.
 """
 
 from __future__ import annotations
@@ -100,11 +99,11 @@ class MobileSenSocialManager:
                  classifiers: ClassifierRegistry | None = None,
                  broker_address: str = "mqtt-broker",
                  server_address: str = "sensocial-server",
-                 batch_max: int | None = None):
-        if batch_max is not None and batch_max < 1:
-            raise ValueError(f"batch_max must be >= 1, got {batch_max}")
-        #: Batched record transport: coalesce up to this many queued
-        #: records per wire envelope (``None`` = per-record transport).
+                 batch_max: int = 1):
+        if not isinstance(batch_max, int) or batch_max < 1:
+            raise ValueError(f"batch_max must be an int >= 1, "
+                             f"got {batch_max!r}")
+        #: Coalesce up to this many queued records per wire envelope.
         #: Flush boundaries come from the virtual clock (outbox sweep /
         #: reconnect), never wall time, so batching stays deterministic.
         self.batch_max = batch_max
@@ -150,7 +149,6 @@ class MobileSenSocialManager:
         #: partitions and broker restarts; drained by server acks.
         self.outbox = Outbox()
         self.outbox.on_evict = self._on_outbox_evict
-        phone.on_protocol("stream-ack", self._on_stream_ack)
         phone.on_protocol("stream-batch-ack", self._on_stream_batch_ack)
         self.mqtt.client.on_connection_change(self._on_connectivity_change)
         #: OSN action → trigger arrival delays (Table 3's second row).
@@ -501,10 +499,7 @@ class MobileSenSocialManager:
                     "outbox_depth",
                     device=self.phone.device_id).set(len(self.outbox))
             if self.mqtt.client.connected:
-                if self.batch_max is not None:
-                    self._transmit_batch([entry])
-                else:
-                    self._transmit(entry)
+                self._transmit_batch([entry])
         elif obs is not None:
             # Local-only records terminate here: the journey's scope
             # never includes the server.
@@ -512,26 +507,15 @@ class MobileSenSocialManager:
 
     # -- reliable record transport ------------------------------------
 
-    def _transmit(self, entry) -> None:
-        self.phone.send(self.server_address, "stream-data", entry.payload,
-                        size=entry.size)
-        self.outbox.mark_sent(entry.record_id, self.world.now)
-        if self.obs is not None:
-            self.obs.tracer.event(entry.meta.get("trace"), "transmit",
-                                  attempt=entry.sends)
-            self.obs.telemetry.counter(
-                "records_transmitted", device=self.phone.device_id,
-                retry=entry.sends > 1).inc()
-
     def _transmit_batch(self, entries) -> None:
         """Send queued records as one columnar wire envelope.
 
         The envelope's explicit size is the sum of the member sizes and
         the link draws once per member (``coalesced``), so radios, byte
-        counters and the fault model account exactly as the per-record
-        sends would.  Each member is still individually outbox-tracked
-        and individually acked (the server acks whole batches with a
-        ``stream-batch-ack`` listing every id).
+        counters and the fault model account exactly as one-record
+        envelopes would.  Each member is still individually
+        outbox-tracked and individually acked (the server acks whole
+        batches with a ``stream-batch-ack`` listing every id).
         """
         batch = RecordBatch.from_documents(
             [entry.payload for entry in entries])
@@ -558,19 +542,14 @@ class MobileSenSocialManager:
     def _flush_outbox(self, force: bool = False) -> None:
         """(Re)send every due unacknowledged record while connected.
 
-        With batching on, due records coalesce into envelopes of up to
-        ``batch_max`` members — the flush boundary (sweep tick or
-        reconnect) is the batch boundary.
+        Due records coalesce into envelopes of up to ``batch_max``
+        members — the flush boundary (sweep tick or reconnect) is the
+        batch boundary.
         """
         if not self.mqtt.client.connected:
             return  # store and forward: the reconnect callback flushes
-        due = self.outbox.due(self.world.now, OUTBOX_RETRY_TIMEOUT_S,
-                              force=force)
-        if self.batch_max is None:
-            for entry in due:
-                self._transmit(entry)
-            return
-        due = list(due)
+        due = list(self.outbox.due(self.world.now, OUTBOX_RETRY_TIMEOUT_S,
+                                   force=force))
         for start in range(0, len(due), self.batch_max):
             self._transmit_batch(due[start:start + self.batch_max])
 
@@ -583,26 +562,8 @@ class MobileSenSocialManager:
             # all; the server's dedup window absorbs the duplicates.
             self._flush_outbox(force=True)
 
-    def _on_stream_ack(self, payload, message) -> None:
-        entry = self.outbox.get(payload["record_id"])
-        if self.outbox.ack(payload["record_id"]):
-            self.records_acked += 1
-            if self.obs is not None and entry is not None:
-                # The outbox span closes on the server's ack: the full
-                # store-and-forward residence time of the record.
-                self.obs.tracer.span(entry.meta.get("trace"), "outbox",
-                                     start=entry.enqueued_at,
-                                     sends=entry.sends)
-                self.obs.telemetry.gauge(
-                    "outbox_depth",
-                    device=self.phone.device_id).set(len(self.outbox))
-
     def _on_stream_batch_ack(self, payload, message) -> None:
-        """Amortized ack handling: one envelope settles every member."""
-        # Same bookkeeping as the N singleton stream-acks the envelope
-        # replaces — per-record outbox spans, the same acked count —
-        # with the handler dispatch, the obs lookups and the
-        # outbox-depth gauge write hoisted out of the per-id loop.
+        """One ack envelope settles every member it lists."""
         outbox = self.outbox
         obs = self.obs
         acked = 0

@@ -2,9 +2,17 @@
 
 Responsibilities (Figure 3, right side): device registration over
 MQTT, OSN plug-in intake, trigger routing, remote stream lifecycle
-(XML config push / destroy), incoming stream-data handling with
-server-side filtering, aggregators, multicast streams, and the
-database of users, links and locations.
+(XML config push / destroy), incoming record ingest with server-side
+filtering, aggregators, multicast streams, and the database of users,
+links and locations.
+
+Every inbound record takes one path.  ``deliver`` decodes a
+``stream-data`` record or a ``stream-batch`` envelope into a
+:class:`~repro.core.common.batch.RecordBatch` (a record is a batch of
+one); ``_on_stream_batch`` then ingests it through the volatile branch
+or, on a durable server, through admission and the write-ahead journal
+(``_apply_intake``).  The server acks with one shape,
+``stream-batch-ack``, listing every record id it settles.
 """
 
 from __future__ import annotations
@@ -115,6 +123,8 @@ class ServerSenSocialManager(Endpoint):
         self.dedup = RecordDeduper()
         self.records_received = 0
         self.records_duplicate = 0
+        #: Records whose payload failed the edge decode (dropped).
+        self.records_invalid = 0
         self.acks_sent = 0
         self.actions_received = 0
         self.last_record_at: float | None = None
@@ -407,14 +417,43 @@ class ServerSenSocialManager(Endpoint):
         if self.crashed:
             return  # belt-and-braces; the network partitions us anyway
         protocol = message.headers.get("protocol")
-        if protocol == "stream-data":
-            self._on_stream_data(message.payload, reply_to=message.src,
-                                 sent_at=message.sent_at)
-        elif protocol == "stream-batch":
-            self._on_stream_batch(message.payload, reply_to=message.src,
-                                  sent_at=message.sent_at)
+        if protocol == "stream-data" or protocol == "stream-batch":
+            batch = self._decode(protocol, message.payload, message.src)
+            if batch is not None:
+                self._on_stream_batch(batch, reply_to=message.src,
+                                      sent_at=message.sent_at)
         elif protocol == "location-update":
             self._on_location_update(message.payload)
+
+    def _decode(self, protocol: str, payload,
+                reply_to: str | None) -> RecordBatch | None:
+        """Edge decode: a ``stream-data`` record becomes a batch of one,
+        a ``stream-batch`` envelope a batch of N.
+
+        The payload comes from outside the program.  One that does not
+        decode — a missing field, ragged columns, a newer wire version —
+        is dropped as ``invalid`` instead of aborting the run: the ids
+        it carries are acked so the sender stops retrying, and a
+        durable server dead-letters the raw payload.
+        """
+        try:
+            if protocol == "stream-data":
+                return RecordBatch.from_documents((payload,))
+            return RecordBatch.from_payload(payload)
+        except (AttributeError, KeyError, TypeError, ValueError):
+            pass
+        record_ids = _carried_ids(protocol, payload)
+        dropped = max(1, len(record_ids))
+        self.records_invalid += dropped
+        self._send_batch_ack(record_ids, reply_to)
+        if self.durability is not None:
+            self.durability.quarantine.put(
+                record_id=record_ids[0] if len(record_ids) == 1 else None,
+                reason="invalid", at=self.world.now, payload=payload)
+        if self.obs is not None:
+            self._counter("records_dropped", stage="ingest",
+                          reason="invalid").inc(dropped)
+        return None
 
     def _on_registration(self, topic: str, payload: str) -> None:
         document = json.loads(payload)
@@ -424,19 +463,12 @@ class ServerSenSocialManager(Endpoint):
         for listener in list(self._registration_listeners):
             listener(document["user_id"], document["device_id"])
 
-    def _send_ack(self, record_id: str | None, reply_to: str | None) -> None:
-        if record_id is None or reply_to is None:
-            return
-        self.acks_sent += 1
-        self.network.send(self.address, reply_to, {"record_id": record_id},
-                          headers={"protocol": "stream-ack"})
-
     def _send_batch_ack(self, record_ids, reply_to: str | None) -> None:
-        """One coalesced ack envelope for a whole batch."""
+        """One ack envelope listing every id it settles."""
         # Counts, byte-accounts (explicit size = exact sum of the N
-        # singleton ack estimates) and RNG-draws (``coalesced=N`` link
-        # draws) as the N singleton acks it replaces, so the sender's
-        # outbox and the fault model see the same world either way.
+        # one-record ack estimates) and RNG-draws (``coalesced=N`` link
+        # draws) as N one-record acks, so the sender's outbox and the
+        # fault model see the same world whatever the batch size.
         ids = [record_id for record_id in record_ids if record_id is not None]
         if not ids or reply_to is None:
             return
@@ -462,70 +494,28 @@ class ServerSenSocialManager(Endpoint):
         self.obs.telemetry.gauge("dedup_window_size").set(len(self.dedup))
         self.obs.telemetry.gauge("dedup_duplicates").set(self.dedup.duplicates)
 
-    def _on_stream_data(self, payload: dict, reply_to: str | None = None,
-                        sent_at: float | None = None) -> None:
+    def _on_stream_batch(self, batch: RecordBatch,
+                         reply_to: str | None = None,
+                         sent_at: float | None = None) -> None:
+        """Ingest one decoded batch (a record is a batch of one)."""
+        # Per-record semantics hold whatever the batch size —
+        # ack-before-dedup, the same duplicate accounting, the same
+        # observe→dispatch order per record — only the per-message
+        # costs (transport, journal frames, index passes, acks)
+        # amortize across the batch.
         obs = self.obs
-        trace = None
-        if obs is not None and payload.get("trace") is not None:
-            from repro.obs.trace import TraceContext
-            trace = TraceContext.from_dict(payload["trace"])
-        record_id = payload.get("record_id")
         if self.durability is not None:
             # Durable path: admission-controlled, write-ahead journaled
             # ingest.  The ack moves to apply time — a record is only
             # acknowledged once it is journaled (or terminally shed /
             # quarantined), never while it could still die in a crash.
-            self.durability.submit(payload, reply_to=reply_to,
-                                   sent_at=sent_at, trace=trace,
-                                   record_id=record_id)
-            return
-        if record_id is not None and reply_to is not None:
-            # Acknowledge before the dedup decision: the ack for the
-            # first copy may have been lost, and the sender keeps
-            # retrying until one lands (idempotent ingest makes the
-            # repeat ack harmless).
-            self._send_ack(record_id, reply_to)
-        if record_id is not None and self.dedup.seen(record_id):
-            self.records_duplicate += 1
-            self._update_dedup_metrics()
-            if obs is not None:
-                # Not a loss: the first copy already terminated this
-                # trace; the replay is only an event on the journey.
-                obs.tracer.event(trace, "duplicate_ingest",
-                                 record_id=record_id)
-                self._counter("records_duplicate").inc()
-            return
-        self._update_dedup_metrics()
-        arrived_at = self.world.now
-        if obs is not None:
-            obs.tracer.span(trace, "transport",
-                            start=arrived_at if sent_at is None else sent_at)
-        record = StreamRecord.from_dict(payload)
-        self.records_received += 1
-        self.last_record_at = arrived_at
-        self.filters.observe_record(record)
-        self.database.store_record(record)
-        if obs is not None:
-            obs.tracer.span(trace, "ingest", start=arrived_at,
-                            record_id=record_id)
-            self._counter("records_ingested",
-                          modality=record.modality.value).inc()
-        self._dispatch_record(record, trace, arrived_at)
-
-    def _on_stream_batch(self, payload: dict, reply_to: str | None = None,
-                         sent_at: float | None = None) -> None:
-        """Batch twin of :meth:`_on_stream_data`: one envelope, N records."""
-        # Per-record semantics are preserved exactly — ack-before-dedup,
-        # the same duplicate accounting, the same observe→dispatch order
-        # per record — only the per-message costs (transport, journal
-        # frames, index passes, acks) amortize across the batch.
-        obs = self.obs
-        batch = RecordBatch.from_payload(payload)
-        if self.durability is not None:
             self.durability.submit_batch(batch, reply_to=reply_to,
                                          sent_at=sent_at)
             return
         record_ids = batch.record_ids
+        # Acknowledge before the dedup decision: the ack for the first
+        # copy may have been lost, and the sender keeps retrying until
+        # one lands (idempotent ingest makes the repeat ack harmless).
         self._send_batch_ack(record_ids, reply_to)
         flags = self.dedup.check_batch(record_ids)
         fresh = [index for index, dup in enumerate(flags) if not dup]
@@ -558,16 +548,9 @@ class ServerSenSocialManager(Endpoint):
                       arrived_at if sent_at is None else sent_at))
 
     def _apply_intake(self, item) -> None:
-        """Route one admitted intake item to its durable apply path."""
-        if "batch" in item.extras:
-            self._ingest_durable_batch(item)
-        else:
-            self._ingest_durable(item)
+        """Apply one admitted batch through the write-ahead journal.
 
-    def _ingest_durable(self, item) -> None:
-        """Apply one admitted record through the write-ahead journal.
-
-        The journal entry is composite — record document + dedup id —
+        The journal frame is composite — record documents + dedup ids —
         so recovery restores both atomically: there is no window where
         a replayed record is deduped but absent from the database (a
         loss) or present but not deduped (a duplicate).  Raises
@@ -575,42 +558,12 @@ class ServerSenSocialManager(Endpoint):
         effects when the journal append fails; the drain pump owns the
         retry/quarantine decision.
         """
-        record, trace = item.record, item.trace
-        obs = self.obs
-        now = self.world.now
-        with self.durability.journal.op(
-                "ingest", "records", strict=True, document=record.to_dict(),
-                record_id=item.record_id):
-            self.database.store_record(record)
-            if item.record_id is not None:
-                self.dedup.seen(item.record_id)
-        self.filters.observe_record(record)
-        self.records_received += 1
-        self.last_record_at = now
-        if obs is not None:
-            obs.tracer.span(trace, "journal_append", start=now)
-            obs.tracer.span(trace, "ingest", start=item.enqueued_at,
-                            record_id=item.record_id)
-            self._counter("records_ingested",
-                          modality=record.modality.value).inc()
-        self._update_dedup_metrics()
-        self._send_ack(item.record_id, item.reply_to)
-        self._dispatch_record(record, trace, now)
-
-    def _ingest_durable_batch(self, item) -> None:
-        """Apply one admitted batch: a single composite journal frame."""
-        # The frame carries the columnar wire envelope; its replay is
-        # record-for-record identical to N singleton ``ingest`` frames
-        # (see repro.durability.journal._apply).  All-or-nothing like
-        # the singleton path: a failed append raises before any
-        # in-memory change and the drain pump owns retry/quarantine.
-        batch = item.extras["batch"]
+        batch = item.batch
         now = self.world.now
         record_ids = batch.record_ids
-        with self.durability.journal.op(
-                "ingest_batch", "records", strict=True,
-                batch=batch.to_payload()):
-            self.database.store_batch(batch.store_documents())
+        documents = batch.store_documents()
+        with self.durability.journal.ingest("records", batch, documents):
+            self.database.store_batch(documents)
             dedup_seen = self.dedup.seen
             for record_id in record_ids:
                 if record_id is not None:
@@ -625,8 +578,8 @@ class ServerSenSocialManager(Endpoint):
 
     def _dispatch_batch(self, batch, *, arrived_at: float,
                         ingest_start: float, pre_span) -> None:
-        """Per-record observe→dispatch tail of both batch ingest paths,
-        in batch order — identical to what N singleton ingests run."""
+        """Per-record observe→dispatch tail of the volatile and durable
+        ingest branches, in batch order."""
         obs = self.obs
         if obs is None and not self.streams and not self._record_listeners:
             # Nothing downstream needs record objects; fold the columns
@@ -768,6 +721,7 @@ class ServerSenSocialManager(Endpoint):
             counters={
                 "records_received": self.records_received,
                 "duplicates_dropped": self.records_duplicate,
+                "records_invalid": self.records_invalid,
                 "acks_sent": self.acks_sent,
                 "actions_received": self.actions_received,
                 "connection_losses": self.mqtt.connection_losses,
@@ -779,3 +733,14 @@ class ServerSenSocialManager(Endpoint):
             },
             **extras,
         )
+
+
+def _carried_ids(protocol: str, payload) -> list[str]:
+    """The record ids an undecodable uplink payload still names."""
+    if not isinstance(payload, dict):
+        return []
+    ids = ([payload.get("record_id")] if protocol == "stream-data"
+           else payload.get("record_ids"))
+    if not isinstance(ids, (list, tuple)):
+        return []
+    return [record_id for record_id in ids if isinstance(record_id, str)]

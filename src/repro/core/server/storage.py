@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.core.common.records import StreamRecord
 from repro.docstore import DocumentStore
 from repro.osn.actions import OsnAction
 
@@ -110,9 +109,6 @@ class ServerDatabase:
 
     def store_action(self, action: OsnAction) -> None:
         self.actions.insert_one(action.to_document())
-
-    def store_record(self, record: StreamRecord) -> None:
-        self.records.insert_one(record.to_dict())
 
     def store_batch(self, documents: list[dict]) -> list[int]:
         """Insert a batch of record documents in one index pass."""

@@ -19,40 +19,30 @@ bound:
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 
 @dataclass
 class IntakeItem:
-    """One record waiting in the intake queue."""
+    """One admitted batch waiting in the intake queue."""
 
-    record_id: str | None
-    payload: dict[str, Any]
-    record: Any
+    #: The :class:`~repro.core.common.batch.RecordBatch` to apply.
+    batch: Any
     reply_to: str | None
-    sent_at: float | None
-    trace: Any
-    #: 1 for OSN-triggered records, 0 for continuous samples.
+    #: 1 when any member is OSN-triggered, 0 for continuous samples.
     priority: int
     enqueued_at: float
     #: Failed apply attempts (storage write errors) so far.
     attempts: int = 0
-    extras: dict[str, Any] = field(default_factory=dict)
 
     def record_ids(self) -> tuple[str, ...]:
-        """The dedupable ids this item carries: every member id for a
-        batch item (``extras["batch"]``), the singleton id otherwise.
-        Pending-id bookkeeping must cover *members* — a retransmitted
-        singleton of a record queued inside a batch has to hit the
-        pending short-circuit, not re-enter intake."""
-        batch = self.extras.get("batch")
-        if batch is not None:
-            return tuple(record_id for record_id in batch.record_ids
-                         if record_id is not None)
-        if self.record_id is not None:
-            return (self.record_id,)
-        return ()
+        """The dedupable ids of the members.  Pending-id bookkeeping
+        must cover every member — a retransmission of a record queued
+        inside a larger batch has to hit the pending short-circuit,
+        not re-enter intake."""
+        return tuple(record_id for record_id in self.batch.record_ids
+                     if record_id is not None)
 
 
 class AdmissionController:

@@ -3,10 +3,11 @@
 Binds the durable-ingest machinery to a
 :class:`~repro.core.server.manager.ServerSenSocialManager`:
 
-- **intake** — ``submit()`` validates a record, short-circuits
-  duplicates against the dedup window, and admits it to the bounded
-  intake queue (shedding lowest-priority continuous records first);
-- **drain** — a self-rescheduling pump applies one record per tick
+- **intake** — ``submit_batch()`` short-circuits duplicates against
+  the dedup window, quarantines members that fail validation, and
+  admits the rest as one item to the bounded intake queue (shedding
+  lowest-priority continuous items first);
+- **drain** — a self-rescheduling pump applies one item per tick
   through the write-ahead journal, paced by the storage medium's
   write latency and gated by the circuit breaker;
 - **crash/restart** — ``on_crash()`` wipes the volatile queue (those
@@ -41,22 +42,6 @@ from repro.durability.recovery import (
     run_recovery_scan,
 )
 from repro.obs.health import STATUS_DEGRADED, STATUS_OK, Healthcheck
-
-#: Lazily built wire-value sets for the batch poison screen (module
-#: import stays free of ``repro.core`` just like the singleton path).
-_WIRE_ENUM_VALUES: tuple[frozenset, frozenset] | None = None
-
-
-def _wire_enum_values() -> tuple[frozenset, frozenset]:
-    global _WIRE_ENUM_VALUES
-    if _WIRE_ENUM_VALUES is None:
-        from repro.core.common.granularity import Granularity
-        from repro.core.common.modality import ModalityType
-        _WIRE_ENUM_VALUES = (
-            frozenset(modality.value for modality in ModalityType),
-            frozenset(granularity.value for granularity in Granularity))
-    return _WIRE_ENUM_VALUES
-
 
 class ServerDurability:
     """Write-ahead journaling + overload protection for one server."""
@@ -145,64 +130,15 @@ class ServerDurability:
 
     # -- intake -------------------------------------------------------
 
-    def submit(self, payload: dict, *, reply_to: str | None,
-               sent_at: float | None, trace, record_id: str | None) -> None:
-        """Admit one arriving stream-data payload to the durable path."""
-        from repro.core.common.records import StreamRecord
-
-        server = self.server
-        obs = self._obs
-        now = self.world.now
-        if obs is not None:
-            obs.tracer.span(trace, "transport",
-                            start=now if sent_at is None else sent_at)
-        if record_id is not None and record_id in server.dedup:
-            # Applied (or terminally disposed) before: re-ack so the
-            # sender stops retrying; idempotent ingest absorbs it.
-            server.dedup.seen(record_id)
-            server.records_duplicate += 1
-            server._send_ack(record_id, reply_to)
-            if obs is not None:
-                obs.tracer.event(trace, "duplicate_ingest",
-                                 record_id=record_id)
-                obs.telemetry.counter("records_duplicate").inc()
-            return
-        if record_id is not None and self.admission.pending(record_id):
-            # A retransmission of a record still waiting in the intake
-            # queue: not yet durable, so no ack — stay silent and let
-            # the sender keep its retry timer running.
-            self.pending_duplicates += 1
-            if obs is not None:
-                obs.tracer.event(trace, "duplicate_pending",
-                                 record_id=record_id)
-            return
-        try:
-            record = StreamRecord.from_dict(payload)
-        except Exception:
-            # Poison payload: quarantine instead of wedging the queue.
-            self._quarantine_payload(record_id, payload, reply_to, trace,
-                                     "invalid")
-            return
-        item = IntakeItem(
-            record_id=record_id, payload=payload, record=record,
-            reply_to=reply_to, sent_at=sent_at, trace=trace,
-            priority=1 if record.osn_action else 0, enqueued_at=now)
-        victims = self.admission.admit(item)
-        if obs is not None:
-            obs.tracer.span(trace, "admission", start=now,
-                            depth=len(self.admission))
-            obs.telemetry.gauge("intake_depth").set(len(self.admission))
-        for victim in victims:
-            self._shed(victim)
-        self._ensure_pump()
-
     def submit_batch(self, batch, *, reply_to: str | None,
                      sent_at: float | None) -> None:
-        """Admit one arriving batch envelope to the durable path.
+        """Admit one arriving batch to the durable path (a record is a
+        batch of one).
 
-        Members partition exactly as N :meth:`submit` calls would:
-        already-seen ids re-ack (one coalesced ack envelope), ids still
-        pending in intake stay silent, poison members quarantine
+        Members partition exactly as N one-record batches would:
+        already-seen ids re-ack (one ack envelope), ids still pending
+        in intake stay silent — not yet durable, so the sender keeps
+        its retry timer running — poison members quarantine
         individually, and the fresh remainder enters the queue as ONE
         intake item carrying the (sub-)batch — admission, journaling
         and the eventual ack all amortize across it.  A mixed batch
@@ -230,6 +166,8 @@ class ServerDurability:
         fresh: list[int] = []
         for index, record_id in enumerate(record_ids):
             if record_id is not None and record_id in dedup:
+                # Applied (or terminally disposed) before: re-ack so the
+                # sender stops retrying; idempotent ingest absorbs it.
                 dedup.seen(record_id)
                 server.records_duplicate += 1
                 duplicate_ids.append(record_id)
@@ -249,34 +187,20 @@ class ServerDurability:
             server._send_batch_ack(duplicate_ids, reply_to)
         if not fresh:
             return
-        # Poison screen: the singleton path learns this from
-        # ``StreamRecord.from_dict`` raising; a batch carries the same
-        # fields column-wise, so validate the enum columns directly
-        # instead of building N record objects.
-        valid_modalities, valid_granularities = _wire_enum_values()
-        admitted: list[int] = []
-        for index in fresh:
-            if (batch.modalities[index] in valid_modalities
-                    and batch.granularities[index] in valid_granularities):
-                admitted.append(index)
-                continue
-            document = batch.select([index]).store_documents()[0]
-            if record_ids[index] is not None:
-                document["record_id"] = record_ids[index]
-            self._quarantine_payload(
-                record_ids[index], document, reply_to,
-                traces[index] if traces is not None else None, "invalid")
+        # Poison screen: a member the apply step could not rebuild as a
+        # record is quarantined here instead of raising there.
+        unknown = set(batch.unknown_members())
+        poison = [index for index in fresh if index in unknown]
+        if poison:
+            self._quarantine(batch.select(poison), reply_to, "invalid")
+        admitted = [index for index in fresh if index not in unknown]
         if not admitted:
             return
         sub = batch if len(admitted) == len(record_ids) \
             else batch.select(admitted)
-        priority = 1 if any(action is not None
-                            for action in sub.osn_actions) else 0
         item = IntakeItem(
-            record_id=sub.record_ids[0],
-            payload={"device_id": sub.device_id},
-            record=None, reply_to=reply_to, sent_at=sent_at, trace=None,
-            priority=priority, enqueued_at=now, extras={"batch": sub})
+            batch=sub, reply_to=reply_to,
+            priority=1 if any(sub.osn_actions) else 0, enqueued_at=now)
         victims = self.admission.admit(item)
         if obs is not None:
             depth = len(self.admission)
@@ -314,7 +238,8 @@ class ServerDurability:
             self.breaker.record_failure(now)
             item.attempts += 1
             if item.attempts >= self.config.max_apply_attempts:
-                self._quarantine_item(item, "repeated_write_failure")
+                self._quarantine(item.batch, item.reply_to,
+                                 "repeated_write_failure")
             else:
                 self.admission.requeue(item)
         else:
@@ -324,61 +249,45 @@ class ServerDurability:
     # -- drops --------------------------------------------------------
 
     def _shed(self, victim: IntakeItem) -> None:
-        """Load-shed one queued record: ack (a deliberate drop must not
-        be retried), remember its id so a late retransmission is not
-        re-admitted, and attribute the drop."""
+        """Load-shed one queued item, every member of it: ack (a
+        deliberate drop must not be retried), remember the ids so a
+        late retransmission is not re-admitted, and attribute each
+        drop."""
         reason = "breaker_open" if self.breaker.is_open else "shed"
         server = self.server
+        batch = victim.batch
+        self.records_shed += len(batch)
+        for record_id in batch.record_ids:
+            if record_id is not None:
+                server.dedup.remember(record_id)
+        server._send_batch_ack(batch.record_ids, victim.reply_to)
         obs = self._obs
-        batch = victim.extras.get("batch")
-        if batch is not None:
-            # A shed batch sheds every member: remember + ack them all
-            # (one coalesced envelope) and attribute each drop.
-            self.records_shed += len(batch)
-            for record_id in batch.record_ids:
-                if record_id is not None:
-                    server.dedup.remember(record_id)
-            server._send_batch_ack(batch.record_ids, victim.reply_to)
-            if obs is not None:
-                for trace in self._batch_traces(batch):
-                    obs.tracer.mark_dropped(trace, "admission", reason)
-                obs.telemetry.counter("records_dropped", stage="admission",
-                                      reason=reason).inc(len(batch))
-            return
-        self.records_shed += 1
-        if victim.record_id is not None:
-            server.dedup.remember(victim.record_id)
-        server._send_ack(victim.record_id, victim.reply_to)
         if obs is not None:
-            obs.tracer.mark_dropped(victim.trace, "admission", reason)
+            for trace in self._batch_traces(batch):
+                obs.tracer.mark_dropped(trace, "admission", reason)
             obs.telemetry.counter("records_dropped", stage="admission",
-                                  reason=reason).inc()
+                                  reason=reason).inc(len(batch))
 
     def _batch_traces(self, batch):
         from repro.obs.trace import TraceContext
         return [TraceContext.from_dict(trace) if trace is not None else None
                 for trace in batch.traces]
 
-    def _quarantine_item(self, item: IntakeItem, reason: str) -> None:
-        batch = item.extras.get("batch")
-        if batch is None:
-            self._quarantine_payload(item.record_id, item.payload,
-                                     item.reply_to, item.trace, reason)
-            return
-        # A poison batch dead-letters per member (each quarantine entry
-        # must be individually inspectable/replayable) but acks once.
+    def _quarantine(self, batch, reply_to: str | None, reason: str) -> None:
+        """Dead-letter every member of ``batch`` (each quarantine entry
+        stays individually inspectable), remember the ids so a
+        retransmission dedups quietly, and ack them all at once."""
         server = self.server
         record_ids = batch.record_ids
         now = self.world.now
-        for index, document in enumerate(batch.store_documents()):
-            record_id = record_ids[index]
+        for record_id, document in zip(record_ids, batch.store_documents()):
             if record_id is not None:
                 document["record_id"] = record_id
                 server.dedup.remember(record_id)
             self.quarantine.put(record_id=record_id, reason=reason,
                                 at=now, payload=document)
-            self.records_quarantined += 1
-        server._send_batch_ack(record_ids, item.reply_to)
+        self.records_quarantined += len(record_ids)
+        server._send_batch_ack(record_ids, reply_to)
         obs = self._obs
         if obs is not None:
             for trace in self._batch_traces(batch):
@@ -387,22 +296,6 @@ class ServerDurability:
                                   reason="quarantined",
                                   quarantine_reason=reason).inc(
                                       len(record_ids))
-
-    def _quarantine_payload(self, record_id: str | None, payload: dict,
-                            reply_to: str | None, trace, reason: str) -> None:
-        self.quarantine.put(record_id=record_id, reason=reason,
-                            at=self.world.now, payload=payload)
-        self.records_quarantined += 1
-        server = self.server
-        if record_id is not None:
-            server.dedup.remember(record_id)
-        server._send_ack(record_id, reply_to)
-        obs = self._obs
-        if obs is not None:
-            obs.tracer.mark_dropped(trace, "ingest", "quarantined")
-            obs.telemetry.counter("records_dropped", stage="ingest",
-                                  reason="quarantined",
-                                  quarantine_reason=reason).inc()
 
     # -- crash / recovery ---------------------------------------------
 

@@ -64,10 +64,7 @@ class FairAdmissionController:
 
     @staticmethod
     def source_of(item: IntakeItem) -> str:
-        record = item.record
-        source = getattr(record, "device_id", None)
-        if source is None and isinstance(item.payload, dict):
-            source = item.payload.get("device_id")
+        source = item.batch.device_id
         return source if source is not None else "?"
 
     def weight(self, source: str) -> int:

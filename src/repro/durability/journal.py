@@ -407,6 +407,27 @@ class WriteAheadJournal:
         if journaled:
             self.maybe_checkpoint()
 
+    def ingest(self, collection: str, batch,
+               documents: list[dict[str, Any]]):
+        """Journal the server's composite ingest of ``batch`` (a strict
+        :meth:`op`): record documents and dedup ids in one frame.
+
+        The frame encoding follows the batch size.  A one-record batch
+        is written as an ``ingest`` frame (its stored document and
+        record id); a larger one as a single ``ingest_batch`` frame
+        carrying the wire columns.  :func:`replay` decodes both
+        record-for-record identically — and must decode ``ingest``
+        anyway, because retained history holds it.  ``documents`` are
+        the batch's store documents, so the one-record frame does not
+        rebuild them.
+        """
+        if len(documents) == 1:
+            return self.op("ingest", collection, strict=True,
+                           document=documents[0],
+                           record_id=batch.record_ids[0])
+        return self.op("ingest_batch", collection, strict=True,
+                       batch=batch.to_payload())
+
     def _append(self, op: str, collection: str,
                 payload: dict[str, Any]) -> None:
         # No defensive payload copy: the medium encodes the entry to
@@ -518,7 +539,7 @@ def _apply(store, entry: JournalEntry, result: ReplayResult) -> None:
         # One frame for N records, stored column-wise (the frame is the
         # wire envelope).  Replay walks the columns record-for-record in
         # order — document insert, dedup id, trace — so the journal is
-        # indistinguishable from N singleton ``ingest`` frames to every
+        # indistinguishable from N one-record ``ingest`` frames to every
         # downstream consumer (fingerprints, dedup restore, replay
         # spans).
         from repro.core.common.batch import RecordBatch

@@ -229,10 +229,10 @@ class JournalBackfill:
                  collection: str | None = None):
         self.medium = medium
         self.ops = frozenset(ops)
-        # Batched runs journal composite ``ingest_batch`` frames; a
-        # backfill asking for ingests must see those records too, each
-        # expanded to a synthetic singleton entry so ``publish``
-        # consumers keep their one-document contract.
+        # Multi-record batches journal composite ``ingest_batch``
+        # frames; a backfill asking for ingests must see those records
+        # too, each expanded to a synthetic one-record ``ingest`` entry
+        # so ``publish`` consumers keep their one-document contract.
         if "ingest" in self.ops:
             self.ops |= {"ingest_batch"}
         self.collection = collection

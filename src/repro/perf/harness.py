@@ -231,10 +231,10 @@ def bench_batch_ingest(batch_sizes: tuple[int, ...] = (1, 16, 64, 256),
     Drives the durable server hot path directly: a bench device emits
     ``records`` identical-rate stream records (one every ``cadence_s``
     virtual seconds — far below the admission watermarks in every
-    mode, so nothing is shed and both paths ingest the exact same
-    set), either as one ``stream-data`` message per record or as one
-    ``stream-batch`` envelope per ``batch`` records, flushed when its
-    last member is due.
+    mode, so nothing is shed and every batch size ingests the exact
+    same set), as one ``stream-batch`` envelope per ``batch`` records,
+    flushed when its last member is due — batch 1 is the envelope of
+    one that phones send for every fresh record.
 
     ``records_per_wall_s`` (best-of-``_WALL_SAMPLES``) is the headline;
     the *amortization evidence* is deterministic per-record work
@@ -273,11 +273,7 @@ def bench_batch_ingest(batch_sizes: tuple[int, ...] = (1, 16, 64, 256),
         acks = {"messages": 0, "records": 0}
 
         def bench_device(message):
-            protocol = message.headers.get("protocol")
-            if protocol == "stream-ack":
-                acks["messages"] += 1
-                acks["records"] += 1
-            elif protocol == "stream-batch-ack":
+            if message.headers.get("protocol") == "stream-batch-ack":
                 acks["messages"] += 1
                 acks["records"] += len(message.payload["record_ids"])
 
@@ -287,33 +283,25 @@ def bench_batch_ingest(batch_sizes: tuple[int, ...] = (1, 16, 64, 256),
         # The mobile outbox estimates each record's wire size once, at
         # *enqueue* time, and every send carries that explicit size (an
         # envelope charges the sum of its members).  Enqueue-side prep
-        # is identical in both modes, so it stays outside the timed
-        # window — the measurement is flush + transport + ingest.
+        # is identical at every batch size, so it stays outside the
+        # timed window — the measurement is flush + transport + ingest.
         from repro.net.message import estimate_size
         sizes = [estimate_size(document) for document in documents]
         started = time.perf_counter()
-        if batch == 1:
-            def send_one(document, size):
-                network.send("bench-device", server.address, document,
-                             size=size, headers={"protocol": "stream-data"})
-            for index, document in enumerate(documents):
-                schedule(index * cadence_s, send_one, document,
-                         sizes[index])
-        else:
-            def send_envelope(chunk, size):
-                # Packing happens at flush time, as the mobile outbox
-                # does it — the cost belongs inside the measurement.
-                payload = RecordBatch.from_documents(chunk).to_payload()
-                network.send("bench-device", server.address, payload,
-                             size=size, coalesced=len(chunk),
-                             headers={"protocol": "stream-batch"})
-            for start in range(0, records, batch):
-                chunk = documents[start:start + batch]
-                # The envelope leaves when its *last* record is due, so
-                # the record rate matches the per-record schedule.
-                schedule((start + len(chunk) - 1) * cadence_s,
-                         send_envelope, chunk,
-                         sum(sizes[start:start + batch]))
+
+        def send_envelope(chunk, size):
+            # Packing happens at flush time, as the mobile outbox does
+            # it — the cost belongs inside the measurement.
+            payload = RecordBatch.from_documents(chunk).to_payload()
+            network.send("bench-device", server.address, payload,
+                         size=size, coalesced=len(chunk),
+                         headers={"protocol": "stream-batch"})
+        for start in range(0, records, batch):
+            chunk = documents[start:start + batch]
+            # The envelope leaves when its *last* record is due, so the
+            # record rate is the same at every batch size.
+            schedule((start + len(chunk) - 1) * cadence_s,
+                     send_envelope, chunk, sum(sizes[start:start + batch]))
         world.run_for(records * cadence_s + 30.0)  # tail: intake drains
         elapsed = time.perf_counter() - started
         return {

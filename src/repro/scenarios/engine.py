@@ -107,8 +107,8 @@ class ServerSink:
                 record.details.get("record_id", "")))
 
     def _on_message(self, message) -> None:
-        if message.headers.get("protocol") == "stream-ack":
-            self.acks += 1
+        if message.headers.get("protocol") == "stream-batch-ack":
+            self.acks += len(message.payload["record_ids"])
 
     def deliver(self, record_id: str, user_id: str, timestamp: float,
                 modality: str, value: dict) -> None:

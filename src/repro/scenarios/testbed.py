@@ -48,15 +48,15 @@ class SenSocialTestbed:
                  durability=False, shards: int | None = None,
                  slo=False, batching=False, scheduler: str = "heap"):
         MobileSenSocialManager.reset_instances()
-        #: Batched record transport: ``False``/``None`` = per-record
-        #: sends; ``True`` = batches of up to 64; an int = that batch
-        #: cap.  Threaded to every deployed mobile manager.
+        #: Uplink envelope cap threaded to every deployed mobile
+        #: manager: ``False``/``None`` = 1 (every record leaves alone);
+        #: ``True`` = 64; an int = that cap.
         if batching is True:
             self.batch_max = 64
         elif batching:
             self.batch_max = int(batching)
         else:
-            self.batch_max = None
+            self.batch_max = 1
         #: ``scheduler`` selects the event-queue backing the world's
         #: clock — ``"heap"`` or ``"wheel"`` (see
         #: :func:`repro.simkit.world.build_event_queue`).  Firing order

@@ -1,11 +1,12 @@
-"""Batched transport must be an invisible optimization (ISSUE 9).
+"""The batch size must be an invisible optimization.
 
-``batching=N`` moves records phone→server as columnar wire envelopes
-(one message, one journal frame, one index pass, one ack per batch)
-instead of per-record singletons — but batching is a transport and
-execution optimization ONLY.  These are the property tests pinning
-that claim: for the same seed and workload, a batched run and a
-per-record run must produce
+Every uplink record travels as a columnar wire envelope.  The default
+deployment (``batching=None``) sends every record as a batch of one;
+``batching=N`` lets backlog leave in batches of up to N (one message,
+one journal frame, one index pass, one ack per batch).  The batch size
+is a transport and execution choice ONLY.  These are the property
+tests pinning that claim: for the same seed and workload, a
+batch-of-one run and a batch-of-N run must produce
 
 * bit-identical docstore contents (canonical store fingerprints),
 * the same stream delivery order at server applications,
@@ -23,6 +24,8 @@ from __future__ import annotations
 import pytest
 
 from repro.core.common import Granularity, ModalityType
+from repro.core.mobile.manager import MobileSenSocialManager
+from repro.durability import codec
 from repro.durability.codec import fingerprint_store
 from repro.faults import ChaosController, FaultPlan
 from repro.scenarios.testbed import SenSocialTestbed
@@ -80,9 +83,9 @@ def ingest_counters(testbed) -> tuple[int, int]:
             int(counters["duplicates_dropped"]))
 
 
-def assert_identical(per_record, batched) -> None:
+def assert_identical(batch_of_one, batched) -> None:
     """The full identity contract between two ``run_deployment`` results."""
-    base_testbed, base_order = per_record
+    base_testbed, base_order = batch_of_one
     batch_testbed, batch_order = batched
     assert ingest_counters(base_testbed)[0] > 0
     assert store_fingerprints(batch_testbed) == \
@@ -100,7 +103,7 @@ class TestPlainIdentity:
         assert replay_matches(batched[0]) == [True]
 
     def test_volatile_mono(self):
-        """No durability: the volatile ``_on_stream_batch`` fast path."""
+        """No durability: the volatile branch of ``_on_stream_batch``."""
         base = run_deployment(7, batching=None, durability=False)
         batched = run_deployment(7, batching=8, durability=False)
         assert_identical(base, batched)
@@ -163,3 +166,45 @@ class TestIdentityUnderFaults:
         batched = run_deployment(23, batching=8, shards=2, plan=plan())
         assert_identical(base, batched)
         assert all(replay_matches(batched[0]))
+
+
+INGEST_OPS = {"ingest", "ingest_batch"}
+
+
+def journal_ops(controller) -> set[str]:
+    """Every frame kind in a journal's full retained history."""
+    data, offset, ops = controller.medium.log_view(), 0, set()
+    while offset < len(data):
+        status, body, offset = codec.read_frame(data, offset)
+        assert status == codec.FRAME_OK
+        ops.add(codec.decode_entry(body).op)
+    return ops
+
+
+class TestJournalFrames:
+    """The writer picks the ingest frame from the batch size: a batch
+    of one is an ``ingest`` frame, a larger batch one ``ingest_batch``
+    frame.  Replay must re-derive the store from either."""
+
+    def test_batches_of_one_journal_ingest_frames(self):
+        testbed, _ = run_deployment(7, batching=None)
+        assert journal_ops(testbed.durability) & INGEST_OPS == {"ingest"}
+        assert replay_matches(testbed) == [True]
+
+    def test_backlog_journals_ingest_batch_frames(self):
+        plan = FaultPlan("partition").partition(
+            "device:alice", start=120.0, duration=180.0)
+        testbed, _ = run_deployment(17, batching=8, shards=2, plan=plan)
+        ops = set().union(*(journal_ops(controller)
+                            for controller in testbed.durabilities))
+        assert "ingest_batch" in ops
+        assert all(replay_matches(testbed))
+
+
+def test_batch_max_must_be_a_positive_int():
+    testbed = SenSocialTestbed(seed=0)
+    node = testbed.add_user("alice", "Paris")
+    for bad in (None, 0):
+        with pytest.raises(ValueError):
+            MobileSenSocialManager(testbed.world, node.phone,
+                                   testbed.network, batch_max=bad)

@@ -5,6 +5,7 @@ priority guarantee (triggered records survive watermark shedding)."""
 import pytest
 
 from repro.core.common import Granularity, ModalityType
+from repro.core.common.batch import RecordBatch
 from repro.durability import (
     DurabilityConfig,
     FairAdmissionController,
@@ -15,12 +16,12 @@ from repro.scenarios.testbed import SenSocialTestbed
 
 
 def item(record_id, source, priority=0):
-    class _Record:
-        device_id = source
-
-    return IntakeItem(record_id=record_id, payload={}, record=_Record(),
-                      reply_to=None, sent_at=None, trace=None,
-                      priority=priority, enqueued_at=0.0)
+    batch = RecordBatch.from_documents([{
+        "stream_id": "s1", "user_id": source, "device_id": source,
+        "modality": "accelerometer", "granularity": "classified",
+        "timestamp": 0.0, "value": "walking", "record_id": record_id}])
+    return IntakeItem(batch=batch, reply_to=None, priority=priority,
+                      enqueued_at=0.0)
 
 
 def fill(controller, source, count, *, start=0, priority=0):
@@ -33,7 +34,7 @@ class TestWeightedService:
         controller = FairAdmissionController(capacity=100)
         fill(controller, "a", 3)
         fill(controller, "b", 3)
-        order = [controller.pop().record_id for _ in range(6)]
+        order = [controller.pop().record_ids()[0] for _ in range(6)]
         assert order == ["a-0", "b-0", "a-1", "b-1", "a-2", "b-2"]
 
     def test_weights_grant_extra_turns(self):
@@ -41,14 +42,14 @@ class TestWeightedService:
             capacity=100, weights={"a": 2})
         fill(controller, "a", 4)
         fill(controller, "b", 2)
-        order = [controller.pop().record_id for _ in range(6)]
+        order = [controller.pop().record_ids()[0] for _ in range(6)]
         assert order == ["a-0", "a-1", "b-0", "a-2", "a-3", "b-1"]
 
     def test_exhausted_source_cedes_turn(self):
         controller = FairAdmissionController(capacity=100)
         fill(controller, "a", 1)
         fill(controller, "b", 3)
-        order = [controller.pop().record_id for _ in range(4)]
+        order = [controller.pop().record_ids()[0] for _ in range(4)]
         assert order == ["a-0", "b-0", "b-1", "b-2"]
         assert controller.pop() is None
 
@@ -58,7 +59,7 @@ class TestWeightedService:
         first = controller.pop()
         controller.requeue(first)
         assert controller.pop() is first
-        assert controller.pop().record_id == "a-1"
+        assert controller.pop().record_ids()[0] == "a-1"
 
     def test_pending_and_wipe(self):
         controller = FairAdmissionController(capacity=100)
@@ -101,7 +102,7 @@ class TestFairShedding:
             popped.append(entry)
         assert sum(1 for e in popped if e.priority == 1) == 5
         assert all(e.priority == 1 for e in popped
-                   if e.record.device_id == "hog")
+                   if e.batch.device_id == "hog")
         assert controller.shed >= 2
 
     def test_watermark_stops_rather_than_shed_osn_records(self):
@@ -120,7 +121,7 @@ class TestFairShedding:
         assert len(controller) == 3
         assert controller.shed == 1
         # The oldest record of the deepest source went, not the newest.
-        remaining = {controller.pop().record_id for _ in range(3)}
+        remaining = {controller.pop().record_ids()[0] for _ in range(3)}
         assert "a-0" not in remaining and "a-3" in remaining
 
     def test_tie_breaks_lexicographically(self):

@@ -4,6 +4,7 @@ the storage circuit breaker, and the dead-letter quarantine."""
 import pytest
 
 from repro.core.common import Granularity, ModalityType
+from repro.core.common.batch import RecordBatch
 from repro.core.common.records import StreamRecord
 from repro.durability import (
     AdmissionController,
@@ -16,9 +17,13 @@ from repro.scenarios.testbed import SenSocialTestbed
 
 
 def item(record_id, priority=0, enqueued_at=0.0):
-    return IntakeItem(record_id=record_id, payload={}, record=None,
-                      reply_to=None, sent_at=None, trace=None,
-                      priority=priority, enqueued_at=enqueued_at)
+    batch = RecordBatch.from_documents([{
+        "stream_id": "s1", "user_id": "alice", "device_id": "d1",
+        "modality": "accelerometer", "granularity": "classified",
+        "timestamp": enqueued_at, "value": "walking",
+        "record_id": record_id}])
+    return IntakeItem(batch=batch, reply_to=None, priority=priority,
+                      enqueued_at=enqueued_at)
 
 
 class TestAdmissionController:
@@ -40,7 +45,7 @@ class TestAdmissionController:
             victims += admission.admit(item(f"r{index}"))
         # Crossing 8 = high*10 sheds down to int(0.5*10) = 5.
         assert len(admission) == 5
-        assert [victim.record_id for victim in victims] == ["r0", "r1", "r2"]
+        assert [victim.record_ids()[0] for victim in victims] == ["r0", "r1", "r2"]
 
     def test_continuous_shed_before_osn(self):
         admission = AdmissionController(4, high_watermark=1.0,
@@ -52,7 +57,7 @@ class TestAdmissionController:
         victims = admission.admit(item("c2", priority=0))
         # Hard overflow: the oldest continuous record goes, never an
         # OSN-triggered one while a continuous is available.
-        assert [victim.record_id for victim in victims] == ["c0"]
+        assert [victim.record_ids()[0] for victim in victims] == ["c0"]
         assert admission.pending("osn0") and admission.pending("osn1")
 
     def test_osn_shed_only_when_nothing_else(self):
@@ -61,18 +66,18 @@ class TestAdmissionController:
         admission.admit(item("osn0", priority=1))
         admission.admit(item("osn1", priority=1))
         victims = admission.admit(item("osn2", priority=1))
-        assert [victim.record_id for victim in victims] == ["osn0"]
+        assert [victim.record_ids()[0] for victim in victims] == ["osn0"]
 
     def test_pop_requeue_pending(self):
         admission = AdmissionController(4)
         admission.admit(item("r0"))
         admission.admit(item("r1"))
         popped = admission.pop()
-        assert popped.record_id == "r0"
+        assert popped.record_ids()[0] == "r0"
         assert not admission.pending("r0")
         admission.requeue(popped)
         assert admission.pending("r0")
-        assert admission.pop().record_id == "r0"
+        assert admission.pop().record_ids()[0] == "r0"
 
     def test_wipe_clears_everything(self):
         admission = AdmissionController(4)
@@ -158,9 +163,8 @@ def make_payload(testbed, index, *, osn=False, modality="accelerometer"):
 
 
 def submit(testbed, payload):
-    testbed.server.durability.submit(
-        payload, reply_to=None, sent_at=None, trace=None,
-        record_id=payload["record_id"])
+    testbed.server.durability.submit_batch(
+        RecordBatch.from_documents([payload]), reply_to=None, sent_at=None)
 
 
 class TestOverloadIntegration:
