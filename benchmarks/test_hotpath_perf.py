@@ -9,7 +9,9 @@ perf trajectory (``BENCH_PERF.json``, see ``docs/PERFORMANCE.md``):
   population (the trie walks topic levels, not subscription tables);
 * indexed conjunctive queries examine >= 10x fewer candidate documents
   than a full scan at 1k+ documents (hash-bucket intersection);
-* the whole virtual-clock pipeline still ingests end to end.
+* the whole virtual-clock pipeline still ingests end to end;
+* a steady-state geo multicast refresh scans the ``users`` collection
+  once (the geo answer already holds only registered users).
 
 Assertions ride on deterministic work counters (``routing_checks``,
 ``candidates_examined``), never on wall-clock, so the gate cannot
@@ -23,6 +25,8 @@ from __future__ import annotations
 
 import json
 
+from repro import Granularity, ModalityType, SenSocialTestbed
+from repro.core.server import MulticastQuery
 from repro.perf import (
     bench_batch_ingest,
     bench_broker_fanout,
@@ -114,6 +118,35 @@ def test_end_to_end_ingest_pipeline(report):
     # Routing work per publish must stay far below the subscription
     # table size a scan would have walked (users x subscriptions).
     assert metrics["broker_checks_per_publish"] is not None
+
+
+def test_geo_multicast_refresh_scans_users_once(report):
+    users = 60
+    testbed = SenSocialTestbed(seed=0, location_update_period_s=None)
+    database = testbed.server.database
+    for index in range(users):
+        user_id = f"u{index}"
+        database.register_device(user_id, f"dev-{index}", [])
+        place = "Paris" if index % 3 else "Bordeaux"
+        database.update_location(user_id, 2.35, 48.85, place,
+                                 testbed.world.now)
+    multicast = testbed.server.create_multicast_stream(
+        ModalityType.ACCELEROMETER, Granularity.CLASSIFIED,
+        MulticastQuery(place="Paris"))
+    collection = database.users
+    scans, examined = collection.scans, collection.candidates_examined
+    # Steady state: nobody moved, so nobody joins or leaves.
+    assert multicast.refresh() == ([], [])
+    scans = collection.scans - scans
+    examined = collection.candidates_examined - examined
+    report("geo multicast refresh: users-collection work",
+           ["users", "members", "scans/refresh", "candidates/refresh"],
+           [[users, len(multicast.members()), scans, examined]])
+    assert len(multicast.members()) == 40
+    # One scan answers the place clause; the registered-set scan the
+    # geo answer makes redundant is skipped (it would double both).
+    assert scans == 1
+    assert examined == users
 
 
 class TestBatchIngest:

@@ -47,7 +47,8 @@ from repro.core.common.stream_config import StreamMode
 from repro.core.server.aggregator import Aggregator
 from repro.core.server.filter_manager import ServerFilterManager
 from repro.core.server.manager import _PLATFORM_MODALITY
-from repro.core.server.multicast import MulticastQuery, MulticastStream
+from repro.core.server.multicast import (MulticastQuery, MulticastStream,
+                                        select_users)
 from repro.core.server.server_stream import ServerStream
 from repro.core.server.storage import ServerDatabase
 from repro.net.message import Message
@@ -976,44 +977,7 @@ class ClusterCoordinator(Endpoint):
 
     def select_users(self, query: MulticastQuery) -> list[str]:
         """Monolith membership semantics over the merged database."""
-        if self._passthrough:
-            return self._mono.select_users(query)
-        database = self.database
-        candidates = set(database.user_ids())
-        if query.user_ids is not None:
-            candidates &= set(query.user_ids)
-        if query.place is not None:
-            candidates &= set(database.users_in_place(query.place))
-        if query.near_point is not None:
-            candidates &= set(database.users_near(
-                list(query.near_point), query.near_km))
-        if query.near_user is not None:
-            location = database.location_of(query.near_user)
-            if location is None:
-                candidates = set()
-            else:
-                nearby = set(database.users_near(
-                    location["point"], query.near_user_km))
-                nearby.discard(query.near_user)
-                candidates &= nearby
-        if query.friends_of is not None:
-            candidates &= self._friends_within(query.friends_of, query.hops)
-        return sorted(candidates)
-
-    def _friends_within(self, user_id: str, hops: int) -> set[str]:
-        seen = {user_id}
-        frontier = {user_id}
-        reached: set[str] = set()
-        for _ in range(hops):
-            next_frontier: set[str] = set()
-            for current in frontier:
-                for friend in self.database.friends_of(current):
-                    if friend not in seen:
-                        seen.add(friend)
-                        reached.add(friend)
-                        next_frontier.add(friend)
-            frontier = next_frontier
-        return reached
+        return select_users(self.database, query)
 
     # -- OSN action plane ---------------------------------------------
 

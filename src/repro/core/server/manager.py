@@ -33,7 +33,8 @@ from repro.core.mobile.mqtt_service import REGISTRATION_FILTER
 from repro.core.server.aggregator import Aggregator
 from repro.core.server.dedup import RecordDeduper
 from repro.core.server.filter_manager import ServerFilterManager
-from repro.core.server.multicast import MulticastQuery, MulticastStream
+from repro.core.server.multicast import (MulticastQuery, MulticastStream,
+                                        select_users)
 from repro.core.server.server_stream import ServerStream
 from repro.core.server.storage import ServerDatabase
 from repro.core.server.trigger import TriggerManager
@@ -374,42 +375,7 @@ class ServerSenSocialManager(Endpoint):
 
     def select_users(self, query: MulticastQuery) -> list[str]:
         """Evaluate a multicast membership query against the database."""
-        candidates = set(self.database.user_ids())
-        if query.user_ids is not None:
-            candidates &= set(query.user_ids)
-        if query.place is not None:
-            candidates &= set(self.database.users_in_place(query.place))
-        if query.near_point is not None:
-            candidates &= set(self.database.users_near(
-                list(query.near_point), query.near_km))
-        if query.near_user is not None:
-            location = self.database.location_of(query.near_user)
-            if location is None:
-                candidates = set()  # person's position unknown yet
-            else:
-                nearby = set(self.database.users_near(
-                    location["point"], query.near_user_km))
-                nearby.discard(query.near_user)
-                candidates &= nearby
-        if query.friends_of is not None:
-            friends = self._friends_within(query.friends_of, query.hops)
-            candidates &= friends
-        return sorted(candidates)
-
-    def _friends_within(self, user_id: str, hops: int) -> set[str]:
-        seen = {user_id}
-        frontier = {user_id}
-        reached: set[str] = set()
-        for _ in range(hops):
-            next_frontier: set[str] = set()
-            for current in frontier:
-                for friend in self.database.friends_of(current):
-                    if friend not in seen:
-                        seen.add(friend)
-                        reached.add(friend)
-                        next_frontier.add(friend)
-            frontier = next_frontier
-        return reached
+        return select_users(self.database, query)
 
     # -- inbound paths --------------------------------------------------------------------
 

@@ -54,6 +54,8 @@ class MulticastQuery:
             raise MiddlewareError("a multicast query needs at least one clause")
         if self.hops < 1:
             raise MiddlewareError(f"hops must be >= 1, got {self.hops}")
+        if self.near_km <= 0:
+            raise MiddlewareError(f"near_km must be > 0, got {self.near_km}")
         if self.near_user_km <= 0:
             raise MiddlewareError(
                 f"near_user_km must be > 0, got {self.near_user_km}")
@@ -63,6 +65,50 @@ class MulticastQuery:
         """Does membership depend on anyone's location?"""
         return (self.place is not None or self.near_point is not None
                 or self.near_user is not None)
+
+
+def select_users(database, query: MulticastQuery) -> list[str]:
+    """Evaluate a membership query against a server or cluster database.
+
+    A geo clause is answered from the ``users`` collection, so it names
+    registered users only and the registered-set scan is skipped.  A
+    ``user_ids`` or friends list can name someone who never registered,
+    so without a geo clause the answer starts from ``user_ids()``.
+    """
+    geo: list[set[str]] = []
+    if query.place is not None:
+        geo.append(set(database.users_in_place(query.place)))
+    if query.near_point is not None:
+        geo.append(set(database.users_near(list(query.near_point),
+                                           query.near_km)))
+    if query.near_user is not None:
+        location = database.location_of(query.near_user)
+        nearby = set() if location is None else set(database.users_near(
+            location["point"], query.near_user_km))
+        nearby.discard(query.near_user)
+        geo.append(nearby)
+    candidates = set.intersection(*geo) if geo else set(database.user_ids())
+    if query.user_ids is not None:
+        candidates &= set(query.user_ids)
+    if query.friends_of is not None:
+        candidates &= _friends_within(database, query.friends_of, query.hops)
+    return sorted(candidates)
+
+
+def _friends_within(database, user_id: str, hops: int) -> set[str]:
+    seen = {user_id}
+    frontier = {user_id}
+    reached: set[str] = set()
+    for _ in range(hops):
+        next_frontier: set[str] = set()
+        for current in frontier:
+            for friend in database.friends_of(current):
+                if friend not in seen:
+                    seen.add(friend)
+                    reached.add(friend)
+                    next_frontier.add(friend)
+        frontier = next_frontier
+    return reached
 
 
 class MulticastStream:

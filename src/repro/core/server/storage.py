@@ -15,7 +15,8 @@ from repro.osn.actions import OsnAction
 
 
 class ServerDatabase:
-    """Typed facade over the document store."""
+    """Typed facade over the document store.  Reads project the field
+    they return, so none copies a whole user document."""
 
     def __init__(self, store: DocumentStore | None = None):
         self.store = store if store is not None else DocumentStore()
@@ -45,15 +46,23 @@ class ServerDatabase:
              "$setOnInsert": {"friends": [], "location": None}},
             upsert=True)
 
+    def _field_of(self, user_id: str, field: str, default=None):
+        document = self.users.find_one({"user_id": user_id},
+                                       {field: 1, "_id": 0})
+        return default if document is None else document.get(field, default)
+
+    def _ids_where(self, query: dict) -> list[str]:
+        return sorted(document["user_id"] for document in
+                      self.users.find(query, {"user_id": 1, "_id": 0}))
+
     def device_of(self, user_id: str) -> str | None:
-        document = self.users.find_one({"user_id": user_id})
-        return document["device_id"] if document is not None else None
+        return self._field_of(user_id, "device_id")
 
     def user_ids(self) -> list[str]:
-        return sorted(document["user_id"] for document in self.users.find())
+        return self._ids_where({})
 
     def is_registered(self, user_id: str) -> bool:
-        return self.users.find_one({"user_id": user_id}) is not None
+        return self.users.count({"user_id": user_id}) > 0
 
     # -- social links -------------------------------------------------------
 
@@ -74,8 +83,7 @@ class ServerDatabase:
                               {"$pull": {"friends": user_id}})
 
     def friends_of(self, user_id: str) -> list[str]:
-        document = self.users.find_one({"user_id": user_id})
-        return list(document["friends"]) if document is not None else []
+        return self._field_of(user_id, "friends", [])
 
     # -- geography -----------------------------------------------------------
 
@@ -86,13 +94,11 @@ class ServerDatabase:
         }}})
 
     def location_of(self, user_id: str) -> dict[str, Any] | None:
-        document = self.users.find_one({"user_id": user_id})
-        return document.get("location") if document is not None else None
+        return self._field_of(user_id, "location")
 
     def users_in_place(self, place: str) -> list[str]:
         """Users whose last classified location is ``place``."""
-        return sorted(document["user_id"] for document in
-                      self.users.find({"location.place": place}))
+        return self._ids_where({"location.place": place})
 
     def users_near(self, point: list[float], max_km: float) -> list[str]:
         """Users whose last fix is within ``max_km`` of ``point``.
@@ -100,10 +106,10 @@ class ServerDatabase:
         MongoDB "natively supports geospatial querying.  This translates
         to fast return of nearby users" (§5.5).
         """
-        return sorted(document["user_id"] for document in self.users.find({
+        return self._ids_where({
             "location.point": {"$near": {"$point": list(point),
                                          "$maxDistance": max_km}},
-        }))
+        })
 
     # -- history -------------------------------------------------------------
 

@@ -132,9 +132,9 @@ class Cursor:
         include_id = bool(self._projection.get("_id", 1))
         paths = {key: bool(value) for key, value in self._projection.items()
                  if key != "_id"}
-        if not paths:
-            projected = {key: copy.deepcopy(value)
-                         for key, value in document.items()}
+        if not paths:  # only ``_id`` named: 1 keeps just it, 0 drops it
+            projected = {} if include_id else {
+                key: copy.deepcopy(value) for key, value in document.items()}
         elif any(paths.values()):  # include mode
             projected = {}
             for path in paths:

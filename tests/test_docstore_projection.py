@@ -39,6 +39,15 @@ class TestProjection:
                                    projection={"name": 1, "_id": 0})
         assert set(document) == {"name"}
 
+    def test_id_only_projection_returns_just_the_id(self, people):
+        rows = people.find({}, projection={"_id": 1}).to_list()
+        assert rows == [{"_id": 1}, {"_id": 2}]
+
+    def test_id_exclusion_alone_keeps_every_other_field(self, people):
+        document = people.find_one({"name": "alice"}, projection={"_id": 0})
+        assert "_id" not in document
+        assert set(document) == {"name", "age", "home", "secret"}
+
     def test_mixed_modes_rejected(self, people):
         with pytest.raises(QueryError):
             people.find({}, projection={"name": 1, "secret": 0}).to_list()

@@ -103,3 +103,8 @@ class TestCollocationMulticast:
     def test_invalid_radius_rejected(self):
         with pytest.raises(MiddlewareError):
             MulticastQuery(near_user="x", near_user_km=0.0)
+
+    @pytest.mark.parametrize("near_km", [0.0, -1.0])
+    def test_invalid_near_point_radius_rejected(self, near_km):
+        with pytest.raises(MiddlewareError, match="near_km must be > 0"):
+            MulticastQuery(near_point=(2.35, 48.85), near_km=near_km)
