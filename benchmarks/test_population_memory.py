@@ -1,10 +1,10 @@
 """Memory gate: resident bytes per device stay bounded at scale.
 
-The scale wall the population substrate breaks is a *memory* wall:
-eagerly materialized devices cost kilobytes each (objects, Mersenne
-RNGs, per-device periodic tasks), so 100k devices used to mean
-hundreds of megabytes before the first event fired.  The streaming
-substrate promises:
+The scale wall the population substrate breaks is a *memory* wall: a
+fully materialized device costs kilobytes (objects, Mersenne RNGs,
+per-device periodic tasks), so 100k of them would mean hundreds of
+megabytes before the first event fired.  The streaming substrate
+promises:
 
 * cold devices cost a fixed ~49 bytes each in the columnar
   hibernation store (asserted exactly — it's arithmetic, not timing);
@@ -38,8 +38,7 @@ COLD_BYTES_PER_DEVICE = 49
 #: columnar store and each admitted device's single pending
 #: EventHandle (~150 B) — diluted by the cap-bounded hot state, so the
 #: measured ratio sits near 6.5x; at 8x a kilobytes-per-device object
-#: leak has crept back in (eager measures ~10x with a far larger
-#: absolute peak).
+#: leak has crept back in.
 MAX_PEAK_GROWTH = 8.0
 
 #: Ceiling on traced peak bytes per device at the large size. The
@@ -52,8 +51,7 @@ MAX_PEAK_BYTES_PER_DEVICE = 400.0
 def _traced_run(devices: int) -> tuple[int, dict]:
     """Peak tracemalloc bytes over a compressed city-day run."""
     engine = ScenarioEngine(get_scenario("city-day"), devices, seed=0,
-                            scheduler="wheel", events_per_device=1.0,
-                            active_cap=ACTIVE_CAP)
+                            events_per_device=1.0, active_cap=ACTIVE_CAP)
     tracemalloc.start()
     try:
         report = engine.run()
@@ -90,31 +88,3 @@ def test_population_memory_is_sublinear():
           f"{LARGE:,} devices -> {large_peak:,} B peak "
           f"(x{growth:.2f} growth, {per_device:.1f} B/device)")
 
-
-def test_eager_substrate_costs_objects():
-    """The baseline the streaming substrate exists to beat: eager
-    materialization allocates per-device objects, an order of magnitude
-    more traced memory per device than the columnar store."""
-    devices = 5_000
-    tracemalloc.start()
-    try:
-        engine = ScenarioEngine(get_scenario("city-day"), devices, seed=0,
-                                substrate="eager", events_per_device=1.0)
-        engine.run()
-        _, eager_peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-
-    tracemalloc.start()
-    try:
-        engine = ScenarioEngine(get_scenario("city-day"), devices, seed=0,
-                                substrate="streaming", events_per_device=1.0,
-                                active_cap=256)
-        engine.run()
-        _, streaming_peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-
-    assert streaming_peak < eager_peak, (
-        f"streaming ({streaming_peak:,} B) should undercut eager "
-        f"({eager_peak:,} B)")

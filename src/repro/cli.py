@@ -109,7 +109,7 @@ def _chaos_scenario(args) -> int:
 
     entry = bench_scenario(
         args.scenario, args.devices, seed=args.seed,
-        scheduler=args.scheduler, active_cap=args.active_cap, chaos=True)
+        active_cap=args.active_cap, chaos=True)
     print(format_scenario_summary(entry))
     report = entry["scenario"]
     problems = list(report["verify_problems"])
@@ -426,7 +426,6 @@ def _perf(args) -> int:
     if args.scenario:
         entry = bench_scenario(
             args.scenario, args.devices, seed=args.seed,
-            substrate=args.substrate, scheduler=args.scheduler,
             sim_seconds=args.sim_seconds,
             events_per_device=args.events_per_device,
             active_cap=args.active_cap)
@@ -497,9 +496,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "fault plan")
     chaos.add_argument("--devices", type=int, default=10_000,
                        help="population size for --scenario chaos runs")
-    chaos.add_argument("--scheduler", choices=("heap", "wheel"),
-                       default="wheel",
-                       help="event queue for --scenario chaos runs")
     chaos.add_argument("--active-cap", type=int, default=4096,
                        help="max resident devices for --scenario runs")
     chaos.add_argument("--output", default=None,
@@ -624,12 +620,6 @@ def build_parser() -> argparse.ArgumentParser:
     perf.add_argument("--devices", type=int, default=10_000,
                       help="population size for --scenario runs")
     perf.add_argument("--seed", type=int, default=0)
-    perf.add_argument("--substrate", choices=("streaming", "eager"),
-                      default="streaming",
-                      help="device residency model for --scenario runs")
-    perf.add_argument("--scheduler", choices=("heap", "wheel"),
-                      default="wheel",
-                      help="event-queue backing the scenario world")
     perf.add_argument("--sim-seconds", type=float, default=None,
                       help="override the scenario's horizon (compressed "
                            "CI runs)")

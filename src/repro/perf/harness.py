@@ -542,7 +542,6 @@ def run_all(*, quick: bool = False) -> dict:
 
 
 def bench_scenario(name: str, devices: int, *, seed: int = 0,
-                   substrate: str = "streaming", scheduler: str = "wheel",
                    sim_seconds: float | None = None,
                    events_per_device: float | None = None,
                    active_cap: int = 4096, sink: str = "stats",
@@ -557,8 +556,7 @@ def bench_scenario(name: str, devices: int, *, seed: int = 0,
     """
     from repro.scenarios import run_scenario
 
-    report = run_scenario(name, devices, seed=seed, substrate=substrate,
-                          scheduler=scheduler, sim_seconds=sim_seconds,
+    report = run_scenario(name, devices, seed=seed, sim_seconds=sim_seconds,
                           events_per_device=events_per_device,
                           active_cap=active_cap, sink=sink, chaos=chaos)
     return {
@@ -574,8 +572,7 @@ def format_scenario_summary(entry: dict) -> str:
     report = entry["scenario"]
     labels = entry["labels"]
     lines = [f"scenario {labels['scenario']} "
-             f"({labels['population']:,} devices, "
-             f"{report['substrate']}/{report['scheduler']})"]
+             f"({labels['population']:,} devices)"]
     lines.append(
         f"  events   {report['events']:,} in {report['wall_s']:.2f} wall-s "
         f"({report['events_per_wall_s']:,.0f} events/s, horizon "

@@ -1,26 +1,20 @@
 """The scenario engine: runs a named scenario over a streaming population.
 
 One engine = one world + one :class:`Population` + one record sink.
-Two substrates execute the *same* event program:
+Devices are materialized lazily when their arrival fires, kept in a
+bounded LRU of :class:`ActiveDevice` flyweights, and hibernated back
+into the columnar store when the resident set exceeds ``active_cap`` —
+resident state is O(cap), not O(population).
 
-``streaming`` (the default)
-    Devices are materialized lazily when their arrival fires, kept in
-    a bounded LRU of :class:`ActiveDevice` flyweights, and hibernated
-    back into the columnar store when the resident set exceeds
-    ``active_cap`` — resident state is O(cap), not O(population).
-``eager``
-    Every device object is materialized up front and never hibernated
-    — the old-world memory shape, kept as the identity baseline.
-
-Both substrates issue the *identical sequence of scheduler calls*
-(one arrival pump admitting devices in index order; every device event
-draws only from that device's own counter RNG), so event ``seq``
-assignment — and therefore firing order, even on exact-time ties — is
-bit-identical.  Hibernation round-trips device state exactly (doubles
-and 64-bit ints through typed arrays), so a 50-device eager run and a
-50-device streaming run with a tiny ``active_cap`` produce the same
-docstore fingerprint, the same delivery order and the same terminal
-accounting — ``tests/test_population.py`` pins this.
+Residency never changes the event program: one arrival pump admits
+devices in index order, and every device event draws only from that
+device's own counter RNG, so the sequence of scheduler calls (and with
+it every ``seq`` and the firing order, even on exact-time ties) does
+not depend on the cap.  Hibernation round-trips device state exactly
+(doubles and 64-bit ints through typed arrays), so a run that
+hibernates on nearly every event and a run that never hibernates
+produce the same docstore fingerprint, the same delivery order and the
+same terminal accounting — ``tests/test_population.py`` pins this.
 
 The engine's accounting invariant, checked by :meth:`verify`::
 
@@ -52,6 +46,15 @@ MAX_ROAM_DEG = 0.05
 STEP_DEG = 0.004
 #: Extra virtual time after the horizon for in-flight deliveries.
 DRAIN_S = 60.0
+
+
+def _positive(name: str, value: float) -> float:
+    """``value`` as a float, or :class:`SimulationError` unless it is
+    finite and > 0 (a zero rate or an infinite horizon never ends)."""
+    value = float(value)
+    if not (value > 0 and math.isfinite(value)):
+        raise SimulationError(f"{name} must be finite and > 0, got {value}")
+    return value
 
 
 class StatsSink:
@@ -144,14 +147,9 @@ class ScenarioEngine:
     """Execute one :class:`ScenarioSpec` over a device population."""
 
     def __init__(self, spec: ScenarioSpec, devices: int, *, seed: int = 0,
-                 substrate: str = "streaming", scheduler: str = "heap",
                  sink: str = "stats", sim_seconds: float | None = None,
                  events_per_device: float | None = None,
                  active_cap: int = 4096, chaos: bool = False):
-        if substrate not in ("streaming", "eager"):
-            raise SimulationError(
-                f"unknown substrate {substrate!r}; expected 'streaming' "
-                f"or 'eager'")
         if active_cap < 1:
             raise SimulationError(
                 f"active cap must be >= 1, got {active_cap}")
@@ -159,15 +157,15 @@ class ScenarioEngine:
             raise SimulationError(
                 f"scenario {spec.name!r} has no chaos episode")
         self.spec = spec
-        self.substrate = substrate
-        self.scheduler_kind = scheduler
         self.seed = seed
         self.chaos = chaos
-        self.horizon = float(sim_seconds or spec.horizon_s)
-        self.events_per_device = float(
-            events_per_device or spec.events_per_device)
+        self.horizon = _positive(
+            "horizon", spec.horizon_s if sim_seconds is None else sim_seconds)
+        self.events_per_device = _positive(
+            "events per device", spec.events_per_device
+            if events_per_device is None else events_per_device)
         self.active_cap = active_cap
-        self.world = World(seed=seed, scheduler=scheduler)
+        self.world = World(seed=seed)
         self.population = Population(devices, seed)
         self.store = HibernationStore()
         self._active: "OrderedDict[int, ActiveDevice]" = OrderedDict()
@@ -187,14 +185,6 @@ class ScenarioEngine:
             raise SimulationError(
                 f"unknown sink {sink!r}; expected 'stats' or 'server'")
         self._mean_gap = self.horizon / self.events_per_device
-        if substrate == "eager":
-            # The old-world shape: every device resident from t=0.  The
-            # arrival pump still fires identically — it just finds the
-            # object already alive instead of admitting it.
-            for index in range(devices):
-                state = self.population.initial_state(index)
-                self.store.append_initial(*state)
-                self._active[index] = ActiveDevice(index, *state)
         self._started = False
 
     # -- residency -----------------------------------------------------
@@ -210,9 +200,7 @@ class ScenarioEngine:
         return device
 
     def _settle(self, current: int) -> None:
-        """Enforce the residency cap after an event (streaming only)."""
-        if self.substrate == "eager":
-            return
+        """Enforce the residency cap after an event."""
         while len(self._active) > self.active_cap:
             index, device = self._active.popitem(last=False)
             if index == current:
@@ -244,10 +232,8 @@ class ScenarioEngine:
     def _pump(self, index: int) -> None:
         """Admit device ``index`` and fire its first event — then chain
         to the next arrival.  One pump event per device, in index
-        order: the single place the two substrates could diverge in
-        scheduler-call order, so they share it exactly."""
-        if self.substrate == "streaming":
-            self.store.append_initial(*self.population.initial_state(index))
+        order."""
+        self.store.append_initial(*self.population.initial_state(index))
         self._admitted += 1
         self._device_event(index)
         nxt = index + 1
@@ -434,8 +420,6 @@ class ScenarioEngine:
         events = self.world.scheduler.events_processed
         report = {
             "scenario": self.spec.name,
-            "substrate": self.substrate,
-            "scheduler": self.scheduler_kind,
             "devices": self.population.size,
             "horizon_s": self.horizon,
             "chaos": self.chaos,
@@ -482,8 +466,7 @@ class ScenarioEngine:
             problems.append(
                 f"sink saw {self.sink.delivered} deliveries, engine "
                 f"counted {self.delivered}")
-        if self.substrate == "streaming" \
-                and len(self._active) > self.active_cap:
+        if len(self._active) > self.active_cap:
             problems.append(
                 f"residency cap violated: {len(self._active)} active > "
                 f"cap {self.active_cap}")

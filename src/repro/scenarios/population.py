@@ -16,8 +16,8 @@ the population-scale substrate underneath the scenario library
   ``random.Random`` instance costs ~2.5 KB of Mersenne state; hibernating
   one per device would dwarf the device itself.  Splitmix64 state is a
   single machine word and round-trips losslessly through the columnar
-  store, which is what makes eager and streaming substrates
-  bit-identical.
+  store, which is what makes a run's output independent of how often
+  its devices hibernate.
 * :class:`HibernationStore` — struct-of-arrays cold storage.  A
   hibernated device is seven scalars in parallel ``array`` columns
   (~57 bytes); rehydration rebuilds the :class:`ActiveDevice` flyweight

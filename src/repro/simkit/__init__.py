@@ -6,34 +6,28 @@ a :class:`World` container that wires components together.  The kernel
 is deliberately small and dependency-free so that every higher layer
 (network, MQTT broker, devices, middleware) shares one notion of time.
 
-The scheduler's pending-event store is pluggable: the default binary
-heap (:class:`HeapEventQueue`) or the calendar-queue event wheel
-(:class:`repro.simkit.wheel.CalendarEventQueue`) — select per world
-with ``World(scheduler="wheel")``.  Both fire the identical
-``(time, seq)`` total order (pinned by the equivalence oracle in
-:mod:`repro.simkit.wheel`).
+Pending events live in one binary heap, :class:`EventQueue`, which
+fires them in ``(time, seq)`` order: by instant, and by scheduling
+order within an instant.
 """
 
 from repro.simkit.errors import SimulationError, SchedulingError
 from repro.simkit.scheduler import (
     EventHandle,
     EventQueue,
-    HeapEventQueue,
     PeriodicTask,
     Scheduler,
 )
 from repro.simkit.randomness import RandomStreams
-from repro.simkit.world import World, build_event_queue
+from repro.simkit.world import World
 
 __all__ = [
     "EventHandle",
     "EventQueue",
-    "HeapEventQueue",
     "PeriodicTask",
     "RandomStreams",
     "Scheduler",
     "SchedulingError",
     "SimulationError",
     "World",
-    "build_event_queue",
 ]

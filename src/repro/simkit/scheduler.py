@@ -5,15 +5,11 @@ triples; ``seq`` is a monotonically increasing counter so that two
 events scheduled for the same instant always fire in scheduling order,
 making every run bit-for-bit reproducible.
 
-Pending events live in a pluggable :class:`EventQueue`.  The default is
-a binary heap (:class:`HeapEventQueue`, O(log n) per event over the
-whole population); ``repro.simkit.wheel.CalendarEventQueue`` is a
-calendar-queue event wheel whose per-event cost depends on bucket
-occupancy instead of total population — selected per
-:class:`repro.simkit.world.World` via ``scheduler="wheel"`` and gated
-by the heap-equivalence oracle in :mod:`repro.simkit.wheel`.  Both
-queues pop the unique ``(time, seq)`` minimum, so firing order is
-bit-identical whichever backs the scheduler.
+Pending events live in one :class:`EventQueue`, a binary heap keyed by
+``(time, seq)`` tuples.  Every scheduled instant must be a number no
+earlier than the clock: a NaN compares false against everything, so
+the checks below are written to reject it rather than let it fire
+first and poison the clock.
 """
 
 from __future__ import annotations
@@ -51,47 +47,18 @@ class EventHandle:
         if self.queue is not None:
             self.queue.note_cancel()
 
-    def __lt__(self, other: "EventHandle") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
         return f"<EventHandle t={self.time:.3f} seq={self.seq} {state}>"
 
 
 class EventQueue:
-    """Interface every scheduler queue implements.
+    """The pending-event store: one binary heap over every pending event.
 
-    Invariant shared by all implementations: :meth:`pop` returns the
-    live handle with the smallest ``(time, seq)`` — a *total* order, so
-    any two conforming queues drive identical simulations.
-    """
-
-    #: Queues smaller than this skip compaction entirely — rebuilding a
-    #: tiny queue costs more than the dead entries it would reclaim.
-    COMPACT_MIN = 64
-
-    def push(self, handle: EventHandle) -> None:
-        raise NotImplementedError
-
-    def pop(self) -> EventHandle | None:
-        """Remove and return the minimum live handle, or ``None``."""
-        raise NotImplementedError
-
-    def peek(self) -> EventHandle | None:
-        """The minimum live handle without removing it, or ``None``."""
-        raise NotImplementedError
-
-    def live_count(self) -> int:
-        raise NotImplementedError
-
-    def note_cancel(self) -> None:
-        """Called once per handle when it is cancelled while queued."""
-        raise NotImplementedError
-
-
-class HeapEventQueue(EventQueue):
-    """The default queue: one binary heap over all pending events.
+    Entries are ``(time, seq, handle)`` tuples.  ``seq`` is unique, so a
+    comparison never reaches the handle: :meth:`pop` returns the live
+    handle with the smallest ``(time, seq)``, a *total* order, and the
+    heap's comparisons stay in C instead of a Python ``__lt__``.
 
     Cancelled entries are skipped lazily at the top; a compaction sweep
     rebuilds the heap whenever cancelled entries outnumber live ones
@@ -101,32 +68,39 @@ class HeapEventQueue(EventQueue):
 
     __slots__ = ("_heap", "_cancelled", "compactions")
 
+    #: Queues smaller than this skip compaction entirely — rebuilding a
+    #: tiny queue costs more than the dead entries it would reclaim.
+    COMPACT_MIN = 64
+
     def __init__(self):
-        self._heap: list[EventHandle] = []
+        self._heap: list[tuple[float, int, EventHandle]] = []
         #: Cancelled entries still physically present in the heap.
         self._cancelled = 0
         self.compactions = 0
 
     def push(self, handle: EventHandle) -> None:
         handle.queue = self
-        heapq.heappush(self._heap, handle)
+        heapq.heappush(self._heap, (handle.time, handle.seq, handle))
 
     def pop(self) -> EventHandle | None:
+        """Remove and return the minimum live handle, or ``None``."""
         self._drop_cancelled()
         if not self._heap:
             return None
-        handle = heapq.heappop(self._heap)
+        handle = heapq.heappop(self._heap)[2]
         handle.queue = None
         return handle
 
     def peek(self) -> EventHandle | None:
+        """The minimum live handle without removing it, or ``None``."""
         self._drop_cancelled()
-        return self._heap[0] if self._heap else None
+        return self._heap[0][2] if self._heap else None
 
     def live_count(self) -> int:
         return len(self._heap) - self._cancelled
 
     def note_cancel(self) -> None:
+        """Called once per handle when it is cancelled while queued."""
         self._cancelled += 1
         if (self._cancelled * 2 > len(self._heap)
                 and len(self._heap) >= self.COMPACT_MIN):
@@ -137,14 +111,14 @@ class HeapEventQueue(EventQueue):
 
         A heap of the same live elements pops in the same ``(time,
         seq)`` order, so compaction is invisible to the simulation."""
-        self._heap = [handle for handle in self._heap if not handle.cancelled]
+        self._heap = [entry for entry in self._heap if not entry[2].cancelled]
         heapq.heapify(self._heap)
         self._cancelled = 0
         self.compactions += 1
 
     def _drop_cancelled(self) -> None:
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap).queue = None
+        while self._heap and self._heap[0][2].cancelled:
+            heapq.heappop(self._heap)[2].queue = None
             self._cancelled -= 1
 
 
@@ -161,7 +135,7 @@ class PeriodicTask:
 
     def __init__(self, scheduler: "Scheduler", interval: float,
                  fn: Callable[..., Any], args: tuple):
-        if interval <= 0:
+        if not interval > 0:
             raise SchedulingError(f"periodic interval must be > 0, got {interval}")
         self._scheduler = scheduler
         self.interval = interval
@@ -200,11 +174,9 @@ class PeriodicTask:
 class Scheduler:
     """The event loop: a virtual clock plus a queue of pending events."""
 
-    def __init__(self, start_time: float = 0.0,
-                 queue: EventQueue | None = None):
+    def __init__(self, start_time: float = 0.0):
         self._now = float(start_time)
-        self._queue: EventQueue = queue if queue is not None \
-            else HeapEventQueue()
+        self._queue = EventQueue()
         self._seq = 0
         self.events_processed = 0
 
@@ -215,18 +187,18 @@ class Scheduler:
 
     @property
     def queue(self) -> EventQueue:
-        """The backing event queue (heap or calendar wheel)."""
+        """The backing event queue."""
         return self._queue
 
     def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> EventHandle:
         """Run ``fn(*args)`` after ``delay`` simulated seconds."""
-        if delay < 0:
-            raise SchedulingError(f"cannot schedule {delay:.6f}s in the past")
+        if not delay >= 0:
+            raise SchedulingError(f"delay must be >= 0, got {delay}")
         return self.schedule_at(self._now + delay, fn, *args)
 
     def schedule_at(self, time: float, fn: Callable[..., Any], *args: Any) -> EventHandle:
         """Run ``fn(*args)`` at the absolute simulated instant ``time``."""
-        if time < self._now:
+        if not time >= self._now:
             raise SchedulingError(
                 f"cannot schedule at t={time:.6f}, clock already at {self._now:.6f}")
         handle = EventHandle(time, self._seq, fn, args)
@@ -260,7 +232,7 @@ class Scheduler:
         The clock is left exactly at ``time`` even if the queue drains
         early, so back-to-back ``run_until`` calls compose naturally.
         """
-        if time < self._now:
+        if not time >= self._now:
             raise SchedulingError(
                 f"cannot run to t={time:.6f}, clock already at {self._now:.6f}")
         while True:

@@ -14,37 +14,14 @@ from typing import Any
 
 from repro.simkit.errors import SimulationError
 from repro.simkit.randomness import RandomStreams
-from repro.simkit.scheduler import EventQueue, Scheduler
-
-
-def build_event_queue(scheduler: str | EventQueue | None) -> EventQueue | None:
-    """Resolve a scheduler selector to an :class:`EventQueue`."""
-    if scheduler is None or scheduler == "heap":
-        return None  # Scheduler builds its default HeapEventQueue
-    if isinstance(scheduler, EventQueue):
-        return scheduler
-    if scheduler == "wheel":
-        from repro.simkit.wheel import CalendarEventQueue, oracle_gate
-        oracle_gate()
-        return CalendarEventQueue()
-    raise SimulationError(
-        f"unknown scheduler {scheduler!r}; expected 'heap', 'wheel' or "
-        f"an EventQueue instance")
+from repro.simkit.scheduler import Scheduler
 
 
 class World:
     """A self-contained simulation universe."""
 
-    def __init__(self, seed: int = 0, start_time: float = 0.0,
-                 scheduler: str | EventQueue = "heap"):
-        #: ``scheduler`` selects the event-queue backing the clock:
-        #: ``"heap"`` (the default binary heap), ``"wheel"`` (the
-        #: calendar-queue event wheel, gated by the heap-equivalence
-        #: oracle on first use per process), or a pre-built
-        #: :class:`repro.simkit.scheduler.EventQueue` instance.  Both
-        #: built-ins fire the identical ``(time, seq)`` total order,
-        #: so the choice is a performance knob, never a semantic one.
-        self.scheduler = Scheduler(start_time, queue=build_event_queue(scheduler))
+    def __init__(self, seed: int = 0, start_time: float = 0.0):
+        self.scheduler = Scheduler(start_time)
         self.randoms = RandomStreams(seed)
         self._components: dict[str, Any] = {}
         self._sequences: dict[str, int] = {}

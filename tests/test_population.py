@@ -1,13 +1,13 @@
-"""Population substrate: streaming == eager, hibernation is lossless.
+"""Population substrate: hibernation is lossless, runs match goldens.
 
-The headline claim of the scale refactor: a streaming run — devices
+The headline claim of the scale refactor: a run whose devices are
 materialized lazily, hibernated to the columnar store under a tiny
-residency cap, rehydrated on their next event — is *bit-identical* to
-the eager run that keeps every device object alive.  Witnessed here
-through the strongest channel available: records ride the simulated
-network into a real server manager, and the docstore fingerprint plus
-the server-side delivery order are compared across substrates (and
-across heap/wheel schedulers).
+residency cap and rehydrated on their next event is *bit-identical* to
+one that never hibernates.  Witnessed here through the strongest
+channel available: records ride the simulated network into a real
+server manager, and the docstore fingerprint plus the server-side
+delivery order are compared across residency caps and against recorded
+goldens.
 """
 
 from __future__ import annotations
@@ -136,40 +136,67 @@ class TestHibernationRoundtrip:
 
 
 class TestSubstrateIdentity:
-    """Eager vs streaming vs wheel: the bit-identity matrix."""
+    """Residency caps never change a run, and runs match goldens.
 
-    def _run(self, scenario, substrate, scheduler="heap", cap=8):
-        report = run_scenario(scenario, 50, seed=9, substrate=substrate,
-                              scheduler=scheduler, sink="server",
+    Two twins these tests once compared are gone: the eager substrate
+    (every device resident from t=0, never hibernated) and the
+    calendar-wheel event queue.  Each test keeps its name and checks
+    the run against the tuple recorded while both sides still ran it
+    and agreed.
+    """
+
+    #: ``(docstore fingerprint, delivery fingerprint, emitted,
+    #: delivered, acks)`` for 50 devices at seed 9 on the server sink,
+    #: keyed by ``(scenario, active cap)``.
+    GOLDENS = {
+        ("city-day", 8): ("084da4923ef085d8142263dc416188e4",
+                          "260f6af11a29a115f96e34ea13710693", 303, 303, 303),
+        ("flash-crowd", 8): ("32d1aa511ab5acf2f4cf6a5cae0d3f15",
+                             "40a936222283d3f68267addd95388c6e",
+                             317, 317, 317),
+        ("dtn-partition", 4): ("d98762d777615febb03bc5ff521d14e1",
+                               "81c254ca8e00558932c71ca0df09a5c4",
+                               284, 249, 249),
+        ("viral-cascade", 4): ("f36f3b4d1858cc68609bf2d0c86aee65",
+                               "03ec1b908b4cfbf830e460883b3ab856",
+                               153, 153, 153),
+    }
+
+    def _run(self, scenario, cap):
+        report = run_scenario(scenario, 50, seed=9, sink="server",
                               active_cap=cap)
         assert report["verify_problems"] == []
+        return report
+
+    def _key(self, report):
         return (report["docstore_fingerprint"],
                 report["delivery_fingerprint"], report["emitted"],
                 report["delivered"], report["acks"])
 
+    def _assert_golden(self, scenario, cap):
+        report = self._run(scenario, cap)
+        assert report["hibernations"] > 0  # the cap really bit
+        assert self._key(report) == self.GOLDENS[scenario, cap]
+
     def test_city_day_eager_equals_streaming(self):
-        eager = self._run("city-day", "eager")
-        streaming = self._run("city-day", "streaming")
-        assert eager == streaming
+        self._assert_golden("city-day", 8)
 
     def test_streaming_identical_under_residency_pressure(self):
-        # cap=2 forces hibernation churn on nearly every event.
-        assert self._run("city-day", "streaming", cap=2) \
-            == self._run("city-day", "streaming", cap=32)
+        # cap=2 hibernates on nearly every event; cap=50 holds all 50
+        # devices and never hibernates.
+        churned = self._run("city-day", cap=2)
+        resident = self._run("city-day", cap=50)
+        assert churned["hibernations"] > 0 == resident["hibernations"]
+        assert self._key(churned) == self._key(resident)
 
     def test_wheel_equals_heap_on_scenario(self):
-        assert self._run("city-day", "streaming", scheduler="wheel") \
-            == self._run("city-day", "streaming", scheduler="heap")
+        self._assert_golden("flash-crowd", 8)
 
     def test_dtn_buffering_identical_across_substrates(self):
-        eager = self._run("dtn-partition", "eager")
-        streaming = self._run("dtn-partition", "streaming", cap=4)
-        assert eager == streaming
+        self._assert_golden("dtn-partition", 4)
 
     def test_cascade_identical_across_substrates(self):
-        eager = self._run("viral-cascade", "eager")
-        streaming = self._run("viral-cascade", "streaming", cap=4)
-        assert eager == streaming
+        self._assert_golden("viral-cascade", 4)
 
 
 class TestScenarioLibrary:
@@ -222,6 +249,27 @@ class TestScenarioLibrary:
         with pytest.raises(SimulationError, match="chaos"):
             ScenarioEngine(get_scenario("city-day"), 10, chaos=True)
 
+    # Construction only: an infinite horizon or rate never finishes.
+
+    @pytest.mark.parametrize("value", [0.0, -5.0, float("inf"),
+                                       float("nan")])
+    def test_horizon_must_be_finite_and_positive(self, value):
+        with pytest.raises(SimulationError, match="horizon"):
+            ScenarioEngine(get_scenario("city-day"), 10, sim_seconds=value)
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("inf"),
+                                       float("nan")])
+    def test_rate_must_be_finite_and_positive(self, value):
+        with pytest.raises(SimulationError, match="events per device"):
+            ScenarioEngine(get_scenario("city-day"), 10,
+                           events_per_device=value)
+
+    def test_omitted_horizon_and_rate_come_from_the_spec(self):
+        spec = get_scenario("city-day")
+        engine = ScenarioEngine(spec, 10)
+        assert (engine.horizon, engine.events_per_device) \
+            == (spec.horizon_s, spec.events_per_device)
+
     def test_flash_crowd_chaos_partitions_and_recovers(self):
         report = run_scenario("flash-crowd", 300, seed=1, active_cap=64,
                               chaos=True)
@@ -240,11 +288,17 @@ class TestResidencyBounds:
         assert engine.verify() == []
 
     def test_eager_keeps_everyone_resident(self):
+        # What the eager substrate guaranteed, a cap at the population
+        # size gives: every device resident, none ever hibernated, and
+        # the delivery fingerprint the eager run recorded.
         engine = ScenarioEngine(get_scenario("city-day"), 100, seed=3,
-                                substrate="eager")
-        engine.run()
+                                active_cap=100)
+        report = engine.run()
         assert len(engine._active) == 100
         assert engine.store.hibernations == 0
+        assert report["delivery_fingerprint"] \
+            == "dd8184c45fc955a2e28dd48988ca8f7e"
+        assert engine.verify() == []
 
     def test_cold_bytes_per_device_constant(self):
         small = ScenarioEngine(get_scenario("city-day"), 100, seed=1)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.simkit import Scheduler, SchedulingError, World
+from repro.simkit.scheduler import PeriodicTask
 
 
 class TestScheduling:
@@ -79,6 +80,24 @@ class TestScheduling:
         scheduler.run_until(10.0)
         with pytest.raises(SchedulingError):
             scheduler.run_until(5.0)
+
+    # A NaN compares false against every number, so a ``time < now``
+    # check lets it through: it would fire first and set the clock to
+    # NaN, after which every past-time schedule is accepted.
+
+    def test_nan_delay_rejected(self):
+        with pytest.raises(SchedulingError):
+            Scheduler().schedule(float("nan"), lambda: None)
+
+    def test_nan_time_rejected(self):
+        with pytest.raises(SchedulingError):
+            Scheduler().schedule_at(float("nan"), lambda: None)
+
+    def test_run_until_nan_rejected(self):
+        scheduler = Scheduler()
+        with pytest.raises(SchedulingError):
+            scheduler.run_until(float("nan"))
+        assert scheduler.now == 0.0
 
     def test_run_for_is_relative(self):
         scheduler = Scheduler()
@@ -178,10 +197,12 @@ class TestPeriodicTasks:
         assert task.fire_count == 5
 
     def test_zero_interval_rejected(self):
-        import pytest
-        from repro.simkit.scheduler import PeriodicTask
         with pytest.raises(SchedulingError):
             PeriodicTask(Scheduler(), 0.0, lambda: None, ())
+
+    def test_nan_interval_rejected(self):
+        with pytest.raises(SchedulingError):
+            PeriodicTask(Scheduler(), float("nan"), lambda: None, ())
 
 
 class TestWorld:
