@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import copy
-from typing import Any, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 from repro.docstore.compiler import CompiledQuery, compile_query
 from repro.docstore.errors import DocStoreError, QueryError
@@ -249,6 +249,10 @@ class Collection:
         #: snapshot/restore can persist the exact allocation state.
         self._next_id = 1
         self._indexes: dict[str, HashIndex] = {}
+        #: Opaque per-document bytes a serializer derived, keyed like
+        #: ``_documents`` (see :meth:`cached_encodings`).  Every write
+        #: path drops the entry of the document it touches.
+        self._encoded: dict[int, bytes] = {}
         self.scans = 0          # full scans performed (observability)
         self.index_lookups = 0  # queries served via an index
         #: Candidate documents actually tested against a predicate —
@@ -372,6 +376,7 @@ class Collection:
 
     def drop(self) -> None:
         self._documents.clear()
+        self._encoded.clear()
         for index in self._indexes.values():
             for doc_id in list(index._doc_keys):
                 index.remove(doc_id)
@@ -440,18 +445,51 @@ class Collection:
     # -- snapshot / restore -------------------------------------------
 
     def snapshot(self) -> dict:
-        """Full recoverable state: documents, id counter, index specs."""
+        """Full recoverable state: documents, id counter, index specs.
+
+        The documents are the live ones, not copies: the result shares
+        them with this collection and must not be mutated.  It is meant
+        to be encoded, compared or restored from, and :meth:`restore`
+        copies what it loads, so a store restored from this snapshot
+        shares nothing with this one.
+        """
         return {
-            "documents": [copy.deepcopy(document)
-                          for document in self._documents.values()],
+            "documents": list(self._documents.values()),
             "next_id": self._next_id,
             "indexes": [[index.path, index.unique]
                         for index in self._indexes.values()],
         }
 
+    def cached_encodings(self, encode: Callable[[dict], bytes]
+                         ) -> tuple[list[bytes], int]:
+        """``encode(document)`` for every document, in snapshot order,
+        and how many of them this call computed.
+
+        Each result is kept until its document changes, so repeated
+        calls encode only the documents written since the last one.
+        The bytes are opaque here: the durability codec supplies
+        ``encode`` at checkpoint time, which keeps this package free of
+        ``repro.durability`` imports.  The cache does not record which
+        function filled it, so every caller must pass the same one.
+        Nothing else fills it, so a store that is never checkpointed
+        holds none.
+        """
+        cache = self._encoded
+        encodings = []
+        computed = 0
+        for doc_id, document in self._documents.items():
+            encoding = cache.get(doc_id)
+            if encoding is None:
+                encoding = cache[doc_id] = encode(document)
+                computed += 1
+            encodings.append(encoding)
+        return encodings, computed
+
     def restore(self, state: dict) -> None:
-        """Replace this collection's contents with ``state``."""
+        """Replace this collection's contents with a deep copy of
+        ``state``."""
         self._documents.clear()
+        self._encoded.clear()
         self._indexes.clear()
         for path, unique in state.get("indexes", []):
             self._indexes[path] = HashIndex(path, unique=unique)
@@ -515,6 +553,9 @@ class Collection:
         return set(result) if result is not None else None
 
     def _reindex(self, doc_id: int, document: dict, update: dict) -> None:
+        # Before the apply: an update that fails partway has still
+        # changed the document.
+        self._encoded.pop(doc_id, None)
         for index in self._indexes.values():
             index.remove(doc_id)
         try:
@@ -527,6 +568,7 @@ class Collection:
         for index in self._indexes.values():
             index.remove(doc_id)
         del self._documents[doc_id]
+        self._encoded.pop(doc_id, None)
 
     def __len__(self) -> int:
         return len(self._documents)

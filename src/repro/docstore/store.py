@@ -31,7 +31,11 @@ class DocumentStore:
     # -- snapshot / restore -------------------------------------------
 
     def snapshot(self) -> dict:
-        """Full recoverable state of every collection."""
+        """Full recoverable state of every collection.
+
+        Like :meth:`Collection.snapshot`, the result shares the live
+        documents and must not be mutated; :meth:`restore` copies.
+        """
         return {"name": self.name,
                 "collections": {name: self._collections[name].snapshot()
                                 for name in self.collection_names()}}

@@ -22,7 +22,13 @@ damages one (torn tails, flipped bits).  This module owns the format:
   policy per damage class.
 - **Fingerprints** (``fingerprint``): blake2b over the canonical
   encoding — the divergence oracle ``repro replay --verify`` compares
-  between a live store and an offline re-derivation.
+  between a live store and an offline re-derivation.  The encoding is
+  fed to the digest as it is produced, never built whole.
+- **Spliced snapshots** (``Encoded``/``encode_documents``): a
+  checkpoint reuses each document's encoding, cached on its collection
+  until the document changes, so it encodes only what was written
+  since the last one — and its frame is byte-identical to encoding the
+  store afresh.
 """
 
 from __future__ import annotations
@@ -40,6 +46,8 @@ MAGIC = b"\xd7j"
 FRAME_HEADER = struct.Struct(">2sII")
 _F64 = struct.Struct(">d")
 _U32 = struct.Struct(">I")
+#: Encoded bytes a fingerprint buffers before feeding its digest.
+_FEED_BYTES = 1 << 16
 
 #: ``read_frame`` statuses.
 FRAME_OK = "ok"
@@ -50,6 +58,15 @@ FRAME_CORRUPT = "corrupt"
 
 
 # -- canonical value encoding -----------------------------------------
+
+class Encoded(tuple):
+    """Byte strings whose concatenation is a canonical encoding.
+
+    :func:`encode_value` copies the parts verbatim, so values encoded
+    once can be spliced into larger encodings without re-encoding them
+    or joining them first.  Encoding-only: decoding yields plain values.
+    """
+
 
 def encode_value(value: Any, out: bytearray) -> None:
     """Append the canonical encoding of ``value`` to ``out``."""
@@ -114,6 +131,9 @@ def encode_value(value: Any, out: bytearray) -> None:
             else:
                 encode_value(key, out)
             encode_value(item, out)
+    elif type(value) is Encoded:
+        for part in value:
+            out += part
     else:
         raise CodecError(
             f"cannot durably encode {type(value).__name__}: {value!r}")
@@ -197,7 +217,7 @@ def loads(data: bytes) -> Any:
 
 # -- framing ----------------------------------------------------------
 
-def frame(body: bytes) -> bytes:
+def frame(body: bytes | bytearray) -> bytes:
     """Wrap ``body`` as ``MAGIC | length | crc32 | body``."""
     return FRAME_HEADER.pack(MAGIC, len(body), zlib.crc32(body)) + body
 
@@ -241,8 +261,25 @@ def decode_entry(body: bytes):
 
 
 def encode_snapshot(state: dict[str, Any]) -> bytes:
-    """One checkpoint state dict as a durable frame."""
-    return frame(dumps(state))
+    """One checkpoint state dict as a durable frame: ``frame(dumps(
+    state))``, framing the encode buffer without copying it to bytes
+    first (a snapshot is the largest value the codec encodes)."""
+    out = bytearray()
+    encode_value(state, out)
+    return frame(out)
+
+
+def encode_documents(collection) -> tuple[Encoded, int]:
+    """The encoding of ``collection.snapshot()["documents"]``, spliced
+    from the per-document encodings the collection caches.
+
+    A list encodes as its tag, a u32 count and its items back to back,
+    so the spliced bytes equal encoding the list afresh.  Only the
+    documents written since the last call are encoded.  Returns the
+    encoding and how many documents this call encoded.
+    """
+    items, encoded = collection.cached_encodings(dumps)
+    return Encoded((b"l" + _U32.pack(len(items)), *items)), encoded
 
 
 def decode_snapshot(body: bytes) -> dict[str, Any]:
@@ -253,10 +290,44 @@ def decode_snapshot(body: bytes) -> dict[str, Any]:
 
 def fingerprint(value: Any) -> str:
     """Canonical digest of ``value`` — equal iff the values are equal
-    including types, dict insertion order and document order."""
-    return blake2b(dumps(value), digest_size=16).hexdigest()
+    including types, dict insertion order and document order.
+
+    The digest is blake2b over ``dumps(value)``, fed a list item at a
+    time, so a whole store is never held encoded in memory.
+    """
+    digest = blake2b(digest_size=16)
+    out = bytearray()
+    _feed(value, out, digest)
+    digest.update(out)
+    return digest.hexdigest()
+
+
+def _feed(value: Any, out: bytearray, digest) -> None:
+    """``encode_value(value, out)``, opening dicts and lists here and
+    handing ``out`` to ``digest`` whenever it passes :data:`_FEED_BYTES`
+    (between list items, so a stored document is encoded whole)."""
+    if type(value) is dict:
+        out += b"d"
+        out += _U32.pack(len(value))
+        for key, item in value.items():
+            encode_value(key, out)
+            _feed(item, out, digest)
+    elif type(value) is list:
+        out += b"l"
+        out += _U32.pack(len(value))
+        for item in value:
+            encode_value(item, out)
+            if len(out) >= _FEED_BYTES:
+                digest.update(out)
+                out.clear()
+    else:
+        encode_value(value, out)
 
 
 def fingerprint_store(store) -> str:
-    """The divergence-oracle digest of a document store's full state."""
+    """The divergence-oracle digest of a document store's full state.
+
+    It encodes the live documents and never reads the checkpoint cache,
+    so ``replay --verify`` also catches a stale cached encoding.
+    """
     return fingerprint(store.snapshot())

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -55,8 +56,17 @@ class DurabilityConfig:
             raise ValueError("intake_capacity must be > 0")
         if not 0.0 < self.low_watermark <= self.high_watermark <= 1.0:
             raise ValueError("need 0 < low_watermark <= high_watermark <= 1")
-        if self.checkpoint_interval <= 0:
-            raise ValueError("checkpoint_interval must be > 0")
+        # ``not x > 0`` rejects NaN too: a NaN or infinite interval
+        # never checkpoints, a NaN reset never half-opens the breaker.
+        if not (self.checkpoint_interval > 0
+                and math.isfinite(self.checkpoint_interval)):
+            raise ValueError(f"checkpoint_interval must be finite and > 0, "
+                             f"got {self.checkpoint_interval}")
+        for name in ("drain_interval_s", "breaker_reset_s"):
+            value = getattr(self, name)
+            if not (value >= 0 and math.isfinite(value)):
+                raise ValueError(
+                    f"{name} must be finite and >= 0, got {value}")
         if self.breaker_trip_after <= 0:
             raise ValueError("breaker_trip_after must be > 0")
         if self.max_apply_attempts <= 0:

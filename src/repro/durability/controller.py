@@ -29,6 +29,7 @@ from __future__ import annotations
 from typing import Any
 
 from repro.docstore.journaled import JournaledDocumentStore
+from repro.durability import codec
 from repro.durability.admission import AdmissionController, IntakeItem
 from repro.durability.breaker import CircuitBreaker
 from repro.durability.config import DurabilityConfig
@@ -76,6 +77,9 @@ class ServerDurability:
         self.crash_wiped = 0
         self.replayed_entries = 0
         self.recoveries = 0
+        #: Documents checkpoints actually encoded (the rest were
+        #: spliced from cached encodings).
+        self.checkpoint_documents_encoded = 0
         #: Corruption accounting, aggregated across recoveries.
         self.frames_quarantined = 0
         self.frames_torn = 0
@@ -113,7 +117,16 @@ class ServerDurability:
         return self.store
 
     def _snapshot_state(self) -> dict[str, Any]:
-        state: dict[str, Any] = {"store": self.store.snapshot()}
+        """The checkpoint state: the store snapshot, with each
+        collection's documents spliced from their cached encodings
+        (same frame bytes, see :func:`codec.encode_documents`), and the
+        dedup window."""
+        snapshot = self.store.snapshot()
+        for name, collection_state in snapshot["collections"].items():
+            collection_state["documents"], encoded = codec.encode_documents(
+                self.store[name])
+            self.checkpoint_documents_encoded += encoded
+        state: dict[str, Any] = {"store": snapshot}
         if self.server is not None:
             state["dedup"] = self.server.dedup.snapshot()
         return state
@@ -439,11 +452,9 @@ class ServerDurability:
         absorbed (``lost_appends``), unrepaired damage, or a bug.
         ``repro replay --verify`` exits nonzero on it.
         """
-        from repro.durability.codec import fingerprint_store
-
         replayed, scan, result = self.replay_store()
-        live = fingerprint_store(self.store)
-        derived = fingerprint_store(replayed)
+        live = codec.fingerprint_store(self.store)
+        derived = codec.fingerprint_store(replayed)
         return {
             "match": live == derived,
             "live_fingerprint": live,
@@ -508,6 +519,8 @@ class ServerDurability:
                 "checkpoints": self.medium.checkpoints,
                 "replayed_entries": self.replayed_entries,
                 "recoveries": self.recoveries,
+                "checkpoint_documents_encoded":
+                    self.checkpoint_documents_encoded,
                 "journal_frames_quarantined": self.frames_quarantined,
                 "journal_frames_torn": self.frames_torn,
                 "journal_frames_discarded": self.frames_discarded,

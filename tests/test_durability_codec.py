@@ -2,6 +2,7 @@
 classification, and fingerprint behaviour."""
 
 import zlib
+from hashlib import blake2b
 
 import pytest
 
@@ -223,6 +224,23 @@ class TestFingerprint:
                       {"users": [{"_id": 1, "n": 1.0}]},  # type change
                       {"users": [{"n": 1, "_id": 1}]}):   # key order
             assert codec.fingerprint(base) != codec.fingerprint(other)
+
+    @pytest.mark.parametrize("value", ROUND_TRIP_VALUES + [
+        {"name": "s", "collections": {"records": {
+            "documents": [{"_id": index, "pad": "x" * 300, "v": [index]}
+                          for index in range(600)],
+            "next_id": 601, "indexes": [["pad", False]]}}}])
+    def test_streamed_digest_equals_digest_of_whole_encoding(self, value):
+        # The fingerprint feeds the digest piecewise; the last value is
+        # big enough (~200 KB) to flush the buffer several times.
+        reference = blake2b(codec.dumps(value), digest_size=16).hexdigest()
+        assert codec.fingerprint(value) == reference
+
+    def test_encoded_parts_splice_verbatim(self):
+        document = {"_id": 1, "tags": ["a", (1, 2.5)]}
+        blob = codec.dumps(document)
+        spliced = codec.Encoded((blob[:5], blob[5:]))
+        assert codec.dumps([spliced, 7]) == codec.dumps([document, 7])
 
     def test_store_fingerprint_tracks_state(self):
         from repro.docstore import DocumentStore

@@ -89,6 +89,26 @@ class TestAdmissionController:
         assert not admission.pending("r0")
 
 
+class TestDurabilityConfig:
+    # Each value used to be accepted and silently switch machinery off:
+    # a NaN or infinite interval never checkpoints, a negative or NaN
+    # drain interval dies at the first schedule, a NaN reset never
+    # half-opens a tripped breaker.
+    @pytest.mark.parametrize("field, value", [
+        ("checkpoint_interval", float("nan")),
+        ("checkpoint_interval", float("inf")),
+        ("drain_interval_s", -0.02),
+        ("drain_interval_s", float("nan")),
+        ("drain_interval_s", float("inf")),
+        ("breaker_reset_s", -1.0),
+        ("breaker_reset_s", float("nan")),
+        ("breaker_reset_s", float("inf")),
+    ])
+    def test_rejects_values_that_switch_machinery_off(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            DurabilityConfig(**{field: value})
+
+
 class TestCircuitBreaker:
     def test_trips_on_consecutive_failures(self):
         breaker = CircuitBreaker(trip_after=3, reset_s=10.0)
