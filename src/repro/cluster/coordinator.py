@@ -1,7 +1,7 @@
 """The cluster coordinator: placement, routing and merged views.
 
 :class:`ClusterCoordinator` is the placement-aware half of the old
-monolithic ``ServerSenSocialManager`` split (ISSUE 5).  It owns the
+monolithic ``ServerSenSocialManager`` split.  It owns the
 consistent-hash ring that maps devices to :class:`ShardWorker`\\ s,
 routes ingest and OSN action triggers to the owning shard, merges
 every cross-shard concern — multicast membership queries, cross-user
@@ -9,18 +9,16 @@ filter context, aggregators, the database facade — and aggregates
 per-shard health into one cluster document.  Server applications talk
 to the coordinator exactly as they talked to the monolith.
 
-Two regimes:
-
-- ``shards=1`` — a *passthrough* cluster: one worker inheriting the
-  monolith's address, client id and (absent) partition spec.  Every
-  coordinator method delegates, so a 1-shard run is **bit-identical**
-  to the pre-cluster server (pinned by ``tests/test_cluster.py``).
-- ``shards=N>1`` — the coordinator registers the public server
-  address itself and forwards each data-plane message synchronously to
-  the shard the ring places its device on; shards share one
-  :class:`ServerFilterManager` (cross-user conditions see context from
-  users on other shards, like the monolith) and one stream-id sequence
-  (``srv-sN`` ids stay globally unique and creation-ordered).
+One code path at every shard count: the coordinator registers the
+public server address itself and forwards each data-plane message
+synchronously to the shard the ring places its device on.  Every shard
+sits behind its own address and subscribes with a ring partition spec;
+shards share one :class:`ServerFilterManager` (cross-user conditions
+see context from users on other shards, like the monolith) and one
+stream-id sequence (``srv-sN`` ids stay globally unique and
+creation-ordered).  A one-shard cluster is this same machine over a
+one-member ring, and its runs match the monolithic server's (pinned by
+``tests/test_cluster.py``).
 
 Failure handling: :meth:`crash_shard` kills one worker;
 :meth:`rebalance` removes dead workers from the ring, re-subscribes
@@ -83,35 +81,12 @@ class ClusterCoordinator(Endpoint):
         #: Builds a fresh durability controller for each shard
         #: :meth:`add_shard` spawns (``None`` on non-durable clusters).
         self._durability_factory = durability_factory
-        self._passthrough = shards == 1
-        #: Shared cross-user filter context (``None`` in passthrough:
-        #: the single worker builds its own, like the monolith did).
-        self.filters = None if self._passthrough \
-            else ServerFilterManager(world)
-        #: Shared stream-id sequence (``None`` until a passthrough
-        #: cluster converts: it then adopts the worker's own counter).
-        self._stream_seq = None if self._passthrough else itertools.count(1)
+        #: Shared cross-user filter context.
+        self.filters = ServerFilterManager(world)
+        #: Shared stream-id sequence.
+        self._stream_seq = itertools.count(1)
         self._shards: dict[str, ShardWorker] = {}
         self._order: list[str] = []
-        for index in range(shards):
-            shard_id = f"shard-{index}"
-            worker = ShardWorker(
-                world, network, shard_id,
-                broker_address=broker_address,
-                address=address if self._passthrough
-                else f"{self._shard_address_base}-{shard_id}",
-                durability=None if durability is None else durability[index],
-                filters=self.filters, stream_seq=self._stream_seq,
-                processing_delay=processing_delay)
-            self._shards[shard_id] = worker
-            self._order.append(shard_id)
-        if self._passthrough:
-            self.filters = self._shards["shard-0"].filters
-        #: Monotonic shard-id allocator — retired ids are never reused,
-        #: so journal state and broker sessions can't be inherited by
-        #: an unrelated later shard.
-        self._shard_seq = itertools.count(shards)
-        self.ring = ConsistentHashRing(self._order, vnodes=vnodes)
         #: Learned placement maps, fed by per-shard registration hooks.
         self._user_device: dict[str, str] = {}
         self._user_shard: dict[str, str] = {}
@@ -134,15 +109,19 @@ class ClusterCoordinator(Endpoint):
         #: SLO control plane, when one is deployed over this cluster
         #: (set by :class:`repro.obs.control.SloControlPlane`).
         self.slo_control = None
-        self._database = None
-        if not self._passthrough:
-            # The coordinator is the cluster's public ingress; shards
-            # hide behind their own addresses.  (In passthrough the
-            # single worker registered the public address itself.)
-            network.register(address, self)
-            self._database = ClusterDatabase(self)
-            for shard_id in self._order:
-                self._hook_registration(self._shards[shard_id])
+        for index in range(shards):
+            self._spawn_worker(
+                f"shard-{index}",
+                None if durability is None else durability[index])
+        #: Monotonic shard-id allocator — retired ids are never reused,
+        #: so journal state and broker sessions can't be inherited by
+        #: an unrelated later shard.
+        self._shard_seq = itertools.count(shards)
+        self.ring = ConsistentHashRing(self._order, vnodes=vnodes)
+        # The coordinator is the cluster's public ingress; shards hide
+        # behind their own addresses.
+        network.register(address, self)
+        self.database = ClusterDatabase(self)
 
     # -- wiring -------------------------------------------------------
 
@@ -163,8 +142,11 @@ class ClusterCoordinator(Endpoint):
     # -- shard access -------------------------------------------------
 
     @property
-    def _mono(self) -> ShardWorker:
-        return self._shards["shard-0"]
+    def _first_active(self) -> ShardWorker:
+        """The first active shard: it stands in for the cluster where
+        the facade exposes one per-shard object, and takes payloads
+        that carry no routing key."""
+        return self.shard_workers()[0]
 
     def shard_workers(self) -> list[ShardWorker]:
         """Active (non-retired) workers in shard order."""
@@ -198,27 +180,21 @@ class ClusterCoordinator(Endpoint):
     # -- facade attributes --------------------------------------------
 
     @property
-    def database(self):
-        return self._mono.database if self._passthrough else self._database
-
-    @property
     def durability(self):
-        """Shard 0's durability controller (the storage-fault target;
-        exact in passthrough, representative on a wider cluster)."""
-        return self._mono.durability
+        """The first active shard's durability controller (the
+        storage-fault target)."""
+        return self._first_active.durability
 
     @property
     def mqtt(self):
-        return self._mono.mqtt
+        return self._first_active.mqtt
 
     @property
     def dedup(self):
-        return self._mono.dedup
+        return self._first_active.dedup
 
     @property
     def streams(self) -> dict[str, ServerStream]:
-        if self._passthrough:
-            return self._mono.streams
         merged: dict[str, ServerStream] = {}
         for shard in self.shard_workers():
             merged.update(shard.streams)
@@ -231,7 +207,7 @@ class ClusterCoordinator(Endpoint):
 
     def fault_addresses(self) -> list[str]:
         """Every network address a ``server``-targeted fault hits."""
-        addresses = [] if self._passthrough else [self.address]
+        addresses = [self.address]
         for shard in self.shard_workers():
             addresses.extend([shard.address, shard.mqtt.address])
         return addresses
@@ -241,15 +217,17 @@ class ClusterCoordinator(Endpoint):
     def start(self) -> None:
         for shard_id in self._order:
             self._shards[shard_id].start(
-                partition=None if self._passthrough
-                else self._partition_for(shard_id))
+                partition=self._partition_for(shard_id))
 
     def crash(self) -> None:
-        """Whole-tier outage: every active shard dies."""
+        """Whole-tier outage: every active shard dies, and the public
+        ingress partitions like the monolith's address does."""
+        self.network.set_down(self.address)
         for shard in self.shard_workers():
             shard.crash()
 
     def restart(self) -> None:
+        self.network.set_down(self.address, False)
         for shard in self.shard_workers():
             if shard.crashed:
                 shard.restart()
@@ -303,8 +281,6 @@ class ClusterCoordinator(Endpoint):
         records are never lost when durability is on: acked ⇒
         journaled ⇒ replayed here.
         """
-        if self._passthrough:
-            raise MiddlewareError("a 1-shard cluster cannot rebalance")
         dead = [self._shards[shard_id] for shard_id in self._order
                 if self._shards[shard_id].crashed
                 and not self._shards[shard_id].retired]
@@ -413,8 +389,8 @@ class ClusterCoordinator(Endpoint):
     # -- elastic lifecycle --------------------------------------------
 
     def _spawn_worker(self, shard_id: str, durability) -> ShardWorker:
-        """Construct a worker for a shard joining an N>1 cluster and
-        wire it into the coordinator's listener planes."""
+        """Construct the worker for ``shard_id`` and wire it into the
+        coordinator's listener planes."""
         worker = ShardWorker(
             self.world, self.network, shard_id,
             broker_address=self._broker_address,
@@ -429,83 +405,21 @@ class ClusterCoordinator(Endpoint):
             worker.register_listener(listener)
         return worker
 
-    def _leave_passthrough(self) -> None:
-        """Convert a 1-shard passthrough cluster to multi-shard mode.
-
-        The single worker has been impersonating the monolith: it holds
-        the public network address, the shared context objects and every
-        application listener.  Scale-out needs the coordinator in the
-        middle, so ownership moves up — *without* touching the worker's
-        MQTT session (client id, subscription and broker queue survive
-        unchanged; only the plain network address is re-homed, and the
-        network resolves endpoints at delivery time, so even in-flight
-        messages land on the coordinator).
-        """
-        worker = self._mono
-        # 1. Address takeover: worker moves to its shard address, the
-        #    coordinator becomes the public ingress.
-        self.network.unregister(worker.address)
-        worker.address = f"{self._shard_address_base}-{worker.shard_id}"
-        self.network.register(worker.address, worker)
-        self.network.register(self.address, self)
-        # 2. Adopt the shared context the worker built for itself.
-        self.filters = worker.filters
-        self._stream_seq = worker._stream_seq
-        self._multicast_seq = worker._multicast_seq
-        # 3. Action plane: plugins re-point at the coordinator (the
-        #    worker's listener must stop firing or every action would
-        #    be accounted twice).
-        for plugin in worker.plugins():
-            plugin.remove_listener(worker._on_osn_action)
-            plugin.add_listener(self._on_osn_action)
-            self._plugins.append(plugin)
-        worker._plugins.clear()
-        self._action_listeners.extend(worker._action_listeners)
-        worker._action_listeners.clear()
-        # 4. Registration and record listeners: registration hooks move
-        #    up (the coordinator's per-shard hook re-fires them); record
-        #    listeners stay on the worker (records dispatch shard-side)
-        #    and are tracked here so later shards inherit them.
-        self._registration_listeners.extend(worker._registration_listeners)
-        worker._registration_listeners.clear()
-        self._record_listeners.extend(worker._record_listeners)
-        # 5. Multicasts re-home: membership queries must now run over
-        #    the merged database, not one shard's slice.
-        for multicast in worker.multicasts:
-            multicast._manager = self
-            self.multicasts.append(multicast)
-        worker.multicasts.clear()
-        # 6. Merged views + placement maps.
-        self._database = ClusterDatabase(self)
-        for doc in list(worker.database.users.find()):
-            self._user_device[doc["user_id"]] = doc["device_id"]
-            self._user_shard[doc["user_id"]] = worker.shard_id
-        self._hook_registration(worker)
-        self._passthrough = False
-        # Deliberately NOT re-subscribing here: the subscribe is a
-        # network message, and one carrying the pre-growth one-member
-        # ring would land at the broker *after* add_shard() migrated
-        # documents away — its retained replay would re-register the
-        # moved devices right back.  add_shard() sends the worker one
-        # SUBSCRIBE with the grown ring instead.
-
     def add_shard(self, *, strategy: str = "snapshot") -> dict:
         """Scale out: grow the ring by one freshly bootstrapped shard.
 
         Protocol (all on the scheduler's current instant — no window in
         which a record can route to a shard that doesn't own it):
 
-        1. a passthrough cluster first converts to multi-shard mode
-           (:meth:`_leave_passthrough`);
-        2. a new worker spawns on a never-used shard id, with its own
+        1. a new worker spawns on a never-used shard id, with its own
            journal when the cluster is durable;
-        3. the ring grows; the devices whose ownership moved are
+        2. the ring grows; the devices whose ownership moved are
            exactly the consistent-hash delta (≈1/N of the fleet);
-        4. the moved slice migrates: documents copy over (and are
+        3. the moved slice migrates: documents copy over (and are
            *deleted* from the old owners — both stay active, so a stale
            copy would double-count in merged reads), dedup ids
            replicate bounded, live stream handles re-home;
-        5. the new shard subscribes with the grown ring and the
+        4. the new shard subscribes with the grown ring and the
            broker replays its slice's retained registrations; the old
            owners re-subscribe with narrowed slices.
 
@@ -520,10 +434,6 @@ class ClusterCoordinator(Endpoint):
                 f"unknown bootstrap strategy {strategy!r} "
                 f"(expected 'snapshot' or 'replay')")
         timings: dict[str, float] = {}
-        step = time.perf_counter()
-        if self._passthrough:
-            self._leave_passthrough()
-            timings["convert"] = time.perf_counter() - step
         step = time.perf_counter()
         shard_id = f"shard-{next(self._shard_seq)}"
         durability = None
@@ -642,9 +552,6 @@ class ClusterCoordinator(Endpoint):
         active shards, exactly like the crash path) and cleanly drops
         its broker session.
         """
-        if self._passthrough:
-            raise MiddlewareError(
-                "a 1-shard cluster cannot scale in; grow it first")
         shard = self._shard_at(index)
         if shard.retired:
             raise MiddlewareError(
@@ -766,33 +673,30 @@ class ClusterCoordinator(Endpoint):
             problems.append(
                 f"ring members {sorted(self.ring.members())} != "
                 f"active shards {sorted(active)}")
-        if not self._passthrough:
-            for shard_id in active:
-                spec = self._shards[shard_id].registration_partition
-                if spec is None:
+        for shard_id in active:
+            spec = self._shards[shard_id].registration_partition
+            if spec is None:
+                problems.append(f"{shard_id}: no partition spec")
+                continue
+            if sorted(spec.get("members", [])) != sorted(
+                    self.ring.members()):
+                problems.append(
+                    f"{shard_id}: subscription members "
+                    f"{sorted(spec.get('members', []))} != ring")
+            if spec.get("version") != self.ring.version:
+                problems.append(
+                    f"{shard_id}: subscription ring version "
+                    f"{spec.get('version')} != {self.ring.version}")
+        for shard_id in active:
+            shard = self._shards[shard_id]
+            if shard.crashed:
+                continue
+            for doc in shard.database.users.find():
+                owner = self.ring.owner(doc["device_id"])
+                if owner != shard_id:
                     problems.append(
-                        f"{shard_id}: no partition spec on a "
-                        f"multi-shard cluster")
-                    continue
-                if sorted(spec.get("members", [])) != sorted(
-                        self.ring.members()):
-                    problems.append(
-                        f"{shard_id}: subscription members "
-                        f"{sorted(spec.get('members', []))} != ring")
-                if spec.get("version") != self.ring.version:
-                    problems.append(
-                        f"{shard_id}: subscription ring version "
-                        f"{spec.get('version')} != {self.ring.version}")
-            for shard_id in active:
-                shard = self._shards[shard_id]
-                if shard.crashed:
-                    continue
-                for doc in shard.database.users.find():
-                    owner = self.ring.owner(doc["device_id"])
-                    if owner != shard_id:
-                        problems.append(
-                            f"device {doc['device_id']!r} lives on "
-                            f"{shard_id} but the ring owns it to {owner}")
+                        f"device {doc['device_id']!r} lives on "
+                        f"{shard_id} but the ring owns it to {owner}")
         return problems
 
     def elasticity_advice(self, threshold: float = 1.5) -> dict:
@@ -833,7 +737,7 @@ class ClusterCoordinator(Endpoint):
     # -- ingress data plane -------------------------------------------
 
     def deliver(self, message: Message) -> None:
-        """Route one data-plane message to its device's owner shard.
+        """Route one data-plane message to its owner shard.
 
         The forward is a synchronous method call — the coordinator and
         its shards are one process tier, so routing adds no network hop
@@ -843,43 +747,44 @@ class ClusterCoordinator(Endpoint):
         if protocol == "stream-data" or protocol == "stream-batch":
             # A record and an envelope both carry their (single)
             # originating device at the payload top level.
-            device_id = message.payload.get("device_id")
-            shard = self.shard_for_device(device_id) \
-                if device_id is not None else self._mono
-            shard.deliver(message)
+            self._owner(message.payload, "device_id",
+                        self.shard_for_device).deliver(message)
         elif protocol == "location-update":
-            shard = self.shard_for_user(message.payload["user_id"])
-            if shard.crashed:
+            shard = self._owner(message.payload, "user_id",
+                                self.shard_for_user)
+            if shard.crashed or not shard._on_location_update(
+                    message.payload):
                 return
-            shard._on_location_update(message.payload)
             # The owning shard refreshed nothing: multicasts live here.
             for multicast in list(self.multicasts):
                 if multicast.query.is_geo_dependent:
                     multicast.refresh()
 
+    def _owner(self, payload, key: str, place) -> ShardWorker:
+        """The shard ``place`` puts ``payload[key]`` on.
+
+        The payload comes from outside the program.  One that is not a
+        dict, or whose routing key is not a string, goes to the first
+        active shard, whose edge checks drop it as invalid (or ingest
+        it, as the monolith would, when only the key's type is off).
+        """
+        key_value = payload.get(key) if isinstance(payload, dict) else None
+        return place(key_value) if isinstance(key_value, str) \
+            else self._first_active
+
     # -- plug-ins and listeners ---------------------------------------
 
     def attach_plugin(self, plugin) -> None:
-        if self._passthrough:
-            self._mono.attach_plugin(plugin)
-            return
         self._plugins.append(plugin)
         plugin.add_listener(self._on_osn_action)
 
     def plugins(self) -> list:
-        return self._mono.plugins() if self._passthrough \
-            else list(self._plugins)
+        return list(self._plugins)
 
     def add_action_listener(self, listener) -> None:
-        if self._passthrough:
-            self._mono.add_action_listener(listener)
-            return
         self._action_listeners.append(listener)
 
     def register_listener(self, listener) -> None:
-        if self._passthrough:
-            self._mono.register_listener(listener)
-            return
         # Records are dispatched by whichever shard ingests them, so
         # the listener must ride every shard; global callback order is
         # record arrival order, exactly as on the monolith.  Tracked
@@ -889,17 +794,11 @@ class ClusterCoordinator(Endpoint):
             shard.register_listener(listener)
 
     def on_registration(self, listener) -> None:
-        if self._passthrough:
-            self._mono.on_registration(listener)
-            return
         self._registration_listeners.append(listener)
 
     # -- user/graph management ----------------------------------------
 
     def sync_social_graph(self, graph) -> None:
-        if self._passthrough:
-            self._mono.sync_social_graph(graph)
-            return
         database = self.database
         for user_id in graph.users():
             if database.is_registered(user_id):
@@ -919,10 +818,6 @@ class ClusterCoordinator(Endpoint):
                       stream_filter: Filter | None = None,
                       settings: dict | None = None,
                       mode: StreamMode = StreamMode.CONTINUOUS) -> ServerStream:
-        if self._passthrough:
-            return self._mono.create_stream(
-                user_id, modality, granularity, stream_filter=stream_filter,
-                settings=settings, mode=mode)
         device_id = self.database.device_of(user_id)
         if device_id is None:
             raise MiddlewareError(f"user {user_id!r} has no registered device")
@@ -931,9 +826,6 @@ class ClusterCoordinator(Endpoint):
             settings=settings, mode=mode)
 
     def destroy_stream(self, stream_id: str) -> None:
-        if self._passthrough:
-            self._mono.destroy_stream(stream_id)
-            return
         for shard in self.shard_workers():
             if stream_id in shard.streams:
                 shard.destroy_stream(stream_id)
@@ -942,8 +834,6 @@ class ClusterCoordinator(Endpoint):
     # -- aggregation and multicast ------------------------------------
 
     def allocate_multicast_name(self) -> str:
-        if self._passthrough:
-            return self._mono.allocate_multicast_name()
         return f"mcast-{next(self._multicast_seq)}"
 
     def create_aggregator(self, name: str,
@@ -957,10 +847,6 @@ class ClusterCoordinator(Endpoint):
                                 settings: dict | None = None,
                                 mode: StreamMode = StreamMode.CONTINUOUS,
                                 name: str | None = None) -> MulticastStream:
-        if self._passthrough:
-            return self._mono.create_multicast_stream(
-                modality, granularity, query, stream_filter=stream_filter,
-                settings=settings, mode=mode, name=name)
         multicast = MulticastStream(
             self, modality, granularity, query, stream_filter=stream_filter,
             settings=settings, mode=mode, name=name)
@@ -969,9 +855,6 @@ class ClusterCoordinator(Endpoint):
         return multicast
 
     def on_multicast_destroyed(self, multicast: MulticastStream) -> None:
-        if self._passthrough:
-            self._mono.on_multicast_destroyed(multicast)
-            return
         if multicast in self.multicasts:
             self.multicasts.remove(multicast)
 
@@ -1041,8 +924,6 @@ class ClusterCoordinator(Endpoint):
     # -- observability ------------------------------------------------
 
     def action_latencies(self) -> list[float]:
-        if self._passthrough:
-            return self._mono.action_latencies()
         merged: list[float] = []
         for shard in self.all_shard_workers():
             merged.extend(shard.action_latencies())
@@ -1056,8 +937,6 @@ class ClusterCoordinator(Endpoint):
         delivery accounting (``ChaosReport.records_lost``) holds across
         a rebalance.
         """
-        if self._passthrough:
-            return self._mono.health()
         shard_docs = {shard.shard_id: shard.health()
                       for shard in self.all_shard_workers()}
         counters: dict[str, float] = {}
@@ -1065,6 +944,9 @@ class ClusterCoordinator(Endpoint):
             for key, value in doc["counters"].items():
                 if isinstance(value, (int, float)):
                     counters[key] = counters.get(key, 0) + value
+        # Uplinks address the public ingress, so drops there are the
+        # cluster's, as they are the monolith's at the same address.
+        counters["net_drops"] += self.network.drop_count(self.address)
         active = self.shard_workers()
         down = [shard for shard in active if shard.crashed]
         if active and len(down) == len(active):

@@ -27,21 +27,17 @@ REGISTRATION_KEY_LEVEL = 2
 class ShardWorker(ServerSenSocialManager):
     """One consistent-hash partition of the server tier."""
 
-    def __init__(self, world, network, shard_id: str, *,
+    def __init__(self, world, network, shard_id: str, *, address: str,
                  broker_address: str = "mqtt-broker",
-                 address: str | None = None,
                  durability=None, filters=None, stream_seq=None,
-                 processing_delay=None, database=None):
-        address = address if address is not None else f"sensocial-{shard_id}"
+                 processing_delay=None):
         super().__init__(
-            world, network, database=database,
-            broker_address=broker_address, address=address,
+            world, network, broker_address=broker_address, address=address,
             processing_delay=processing_delay, durability=durability,
-            client_id=address, filters=filters, stream_seq=stream_seq)
+            filters=filters, stream_seq=stream_seq)
         self.shard_id = shard_id
         #: Current partition spec for the registration subscription
-        #: (``None`` on a 1-shard cluster: the subscription is then
-        #: byte-identical to the monolithic server's).
+        #: (set by :meth:`start`; one member on a one-shard cluster).
         self.registration_partition: dict | None = None
         #: True once :meth:`retire` ran — a dead shard whose devices
         #: migrated away never rejoins the ring.
@@ -49,7 +45,7 @@ class ShardWorker(ServerSenSocialManager):
 
     # -- partition management -----------------------------------------
 
-    def start(self, partition: dict | None = None) -> None:
+    def start(self, partition: dict) -> None:
         """Connect and subscribe to this shard's registration slice."""
         self.registration_partition = partition
         self.mqtt.connect(clean_session=False)

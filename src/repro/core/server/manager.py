@@ -26,6 +26,7 @@ from typing import Callable
 from repro.core.common.batch import RecordBatch, ack_size as batch_ack_size
 from repro.core.common.filters import Filter
 from repro.core.common.granularity import Granularity
+from repro.core.common.location import valid_location_update
 from repro.core.common.modality import ModalityType
 from repro.core.common.records import StreamRecord
 from repro.core.common.stream_config import StreamConfig, StreamMode
@@ -60,12 +61,11 @@ _PLATFORM_MODALITY = {
 class ServerSenSocialManager(Endpoint):
     """Singleton-style server middleware core."""
 
-    def __init__(self, world: World, network: Network,
-                 database: ServerDatabase | None = None,
+    def __init__(self, world: World, network: Network, *,
                  broker_address: str = "mqtt-broker",
                  address: str = "sensocial-server",
                  processing_delay: LatencyModel | None = None,
-                 durability=None, client_id: str | None = None,
+                 durability=None,
                  filters: ServerFilterManager | None = None,
                  stream_seq=None):
         self.world = world
@@ -76,11 +76,10 @@ class ServerSenSocialManager(Endpoint):
         self.durability = durability
         if durability is not None:
             durability.bind(self)
-            if database is None:
-                database = ServerDatabase(store=durability.build_store())
-        self.database = database if database is not None else ServerDatabase()
-        self.mqtt = MqttClient(world, network,
-                               client_id=client_id or "sensocial-server",
+            self.database = ServerDatabase(store=durability.build_store())
+        else:
+            self.database = ServerDatabase()
+        self.mqtt = MqttClient(world, network, client_id=address,
                                address=f"mqtt/{address}",
                                broker_address=broker_address)
         self.triggers = TriggerManager(world, self.mqtt, processing_delay)
@@ -126,6 +125,8 @@ class ServerSenSocialManager(Endpoint):
         self.records_duplicate = 0
         #: Records whose payload failed the edge decode (dropped).
         self.records_invalid = 0
+        #: Location updates dropped by :func:`valid_location_update`.
+        self.location_updates_invalid = 0
         self.acks_sent = 0
         self.actions_received = 0
         self.last_record_at: float | None = None
@@ -589,7 +590,16 @@ class ServerSenSocialManager(Endpoint):
         for listener in list(self._record_listeners):
             listener(record)
 
-    def _on_location_update(self, payload: dict) -> None:
+    def _on_location_update(self, payload) -> bool:
+        """Apply one ``location-update``; False when it was dropped.
+
+        The payload comes from outside the program.  One that fails
+        :func:`valid_location_update` changes nothing, refreshes no
+        multicast and is counted as invalid instead of aborting the run.
+        """
+        if not valid_location_update(payload):
+            self.location_updates_invalid += 1
+            return False
         self.database.update_location(
             payload["user_id"], payload["lon"], payload["lat"],
             payload.get("place"), payload["timestamp"])
@@ -599,6 +609,7 @@ class ServerSenSocialManager(Endpoint):
         for multicast in list(self.multicasts):
             if multicast.query.is_geo_dependent:
                 multicast.refresh()
+        return True
 
     def _on_osn_action(self, action: OsnAction) -> None:
         if self.crashed:
@@ -688,6 +699,7 @@ class ServerSenSocialManager(Endpoint):
                 "records_received": self.records_received,
                 "duplicates_dropped": self.records_duplicate,
                 "records_invalid": self.records_invalid,
+                "location_updates_invalid": self.location_updates_invalid,
                 "acks_sent": self.acks_sent,
                 "actions_received": self.actions_received,
                 "connection_losses": self.mqtt.connection_losses,

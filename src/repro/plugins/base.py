@@ -32,17 +32,6 @@ class OsnPlugin(ABC):
         """Register a server-side consumer of captured actions."""
         self._listeners.append(listener)
 
-    def remove_listener(self, listener: ActionListener) -> None:
-        """Detach a consumer (idempotent).
-
-        Used when a 1-shard cluster converts to multi-shard mode: the
-        action intake moves from the worker to the coordinator, and the
-        worker's listener must stop firing or every action would be
-        accounted twice.
-        """
-        if listener in self._listeners:
-            self._listeners.remove(listener)
-
     def register_user(self, user_id: str) -> None:
         """The user authenticates the plug-in (OAuth / profile add, §4)."""
         self._service.authorize_app(user_id)

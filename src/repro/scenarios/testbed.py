@@ -62,8 +62,9 @@ class SenSocialTestbed:
         observability = observability or bool(slo)
         #: ``None`` deploys the classic monolithic server; an integer
         #: deploys a :class:`repro.cluster.ClusterCoordinator` over
-        #: that many shard workers (``shards=1`` is bit-identical to
-        #: the monolith — pinned by ``tests/test_cluster.py``).
+        #: that many shard workers.  Every shard count runs the same
+        #: cluster code; at ``shards=1`` its runs match the monolith's
+        #: (pinned by ``tests/test_cluster.py``).
         self.shards = shards
         #: Observability hub, or ``None`` when tracing is off.  Installed
         #: before any component is built so every constructor-time

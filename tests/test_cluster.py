@@ -2,9 +2,11 @@
 
 Pins the three load-bearing invariants of the refactor:
 
-1. a 1-shard cluster is **bit-identical** to the monolithic server —
-   same record stream (ids, timestamps, values), same health counters,
-   same network traffic, byte for byte;
+1. a 1-shard cluster, which runs the same cluster code as every other
+   size, is **bit-identical** to the monolithic server — same record
+   stream (ids, timestamps, values), same health counters, same
+   network traffic, byte for byte; on an OSN-triggered geo-multicast
+   run also the same actions, multicasts and store fingerprints;
 2. multi-shard routing is lossless and complete: every device's data
    lands on exactly the shard the ring owns it on, cross-shard
    multicasts see the same records the 1-shard baseline sees;
@@ -28,9 +30,19 @@ from repro.cluster import (
     ConsistentHashRing,
     ShardWorker,
 )
-from repro.core.common import Filter, Granularity, ModalityType
+from repro.core.common import (
+    Condition,
+    Filter,
+    Granularity,
+    ModalityType,
+    ModalityValue,
+    Operator,
+)
 from repro.core.common.errors import MiddlewareError
 from repro.core.server.multicast import MulticastQuery
+from repro.durability.codec import fingerprint_store
+from repro.faults import ChaosController, FaultPlan
+from repro.osn.generator import ActionWorkloadGenerator
 from repro.scenarios.testbed import SenSocialTestbed
 
 USERS = ["alice", "bob", "carol", "dave"]
@@ -72,6 +84,70 @@ def drive(testbed, seconds=600.0):
     return fingerprint(testbed, records)
 
 
+SOCIAL_USERS = [f"user{index}" for index in range(8)]
+
+
+def drive_social(testbed, seconds=900.0):
+    """An OSN-triggered, geo-multicast run over ``SOCIAL_USERS``.
+
+    Befriended users in two cities stream OSN-filtered locations under
+    Poisson actions; a ``place`` multicast and a ``friends_of``
+    multicast follow them and one stream is created remotely.  Returns
+    everything a server application sees, plus every store's
+    fingerprint.
+    """
+    on_action = Filter([Condition(ModalityType.FACEBOOK_ACTIVITY,
+                                  Operator.EQUALS, ModalityValue.ACTIVE)])
+    for index, user_id in enumerate(SOCIAL_USERS):
+        node = testbed.add_user(user_id, ("Paris", "London")[index % 2])
+        node.manager.create_stream(ModalityType.LOCATION,
+                                   Granularity.CLASSIFIED,
+                                   stream_filter=on_action,
+                                   send_to_server=True)
+    for index, user_id in enumerate(SOCIAL_USERS):
+        testbed.befriend(user_id,
+                         SOCIAL_USERS[(index + 1) % len(SOCIAL_USERS)])
+    server = testbed.server
+    records, actions = [], []
+    server.register_listener(lambda record: records.append(
+        (record.stream_id, record.user_id, record.timestamp,
+         repr(record.value))))
+    server.add_action_listener(lambda action: actions.append(
+        (action.action_id, action.user_id, action.type.value,
+         action.created_at)))
+    multicasts = [
+        server.create_multicast_stream(
+            ModalityType.ACCELEROMETER, Granularity.CLASSIFIED,
+            MulticastQuery(place="Paris"), stream_filter=on_action),
+        server.create_multicast_stream(
+            ModalityType.MICROPHONE, Granularity.CLASSIFIED,
+            MulticastQuery(friends_of="user0")),
+    ]
+    server.create_stream("user3", ModalityType.ACCELEROMETER,
+                         Granularity.CLASSIFIED)
+    ActionWorkloadGenerator(testbed.world, testbed.facebook,
+                            actions_per_hour=30.0).stream_arrivals(
+                                SOCIAL_USERS)
+    testbed.run(seconds)
+    servers = server.all_shard_workers() if testbed.shards else [server]
+    counters = server.health()["counters"]
+    counters.pop("shard_work", None)  # a shard's own work counter
+    return {
+        "records": records,
+        "actions": actions,
+        "multicasts": [(multicast.name, multicast.members(),
+                        multicast.refreshes) for multicast in multicasts],
+        "streams": sorted(server.streams),
+        "counters": counters,
+        "network": (testbed.network.messages_sent,
+                    testbed.network.messages_delivered,
+                    testbed.network.messages_dropped),
+        "action_latencies": server.action_latencies(),
+        "stores": [fingerprint_store(shard.database.store)
+                   for shard in servers],
+    }
+
+
 class TestRing:
     def test_deterministic_placement(self):
         ring = ConsistentHashRing(["shard-0", "shard-1", "shard-2"])
@@ -101,7 +177,7 @@ class TestRing:
             ConsistentHashRing().owner("d0001")
 
 
-class TestPassthroughBitIdentity:
+class TestOneShardMatchesMonolith:
     def test_one_shard_cluster_matches_monolith(self):
         mono = drive(deploy(shards=None))
         one = drive(deploy(shards=1))
@@ -112,12 +188,47 @@ class TestPassthroughBitIdentity:
         one = drive(deploy(shards=1, durability=True))
         assert one == mono
 
-    def test_passthrough_keeps_monolith_addressing(self):
+    @pytest.mark.parametrize("durability", [False, True],
+                             ids=["volatile", "durable"])
+    def test_one_shard_cluster_matches_monolith_on_social_run(
+            self, durability):
+        mono = drive_social(deploy(shards=None, users=[],
+                                   durability=durability))
+        one = drive_social(deploy(shards=1, users=[],
+                                  durability=durability))
+        assert mono["actions"] and mono["records"]  # the run did work
+        assert one == mono
+
+    @pytest.mark.parametrize("plan", ["server_crash", "partition"])
+    def test_one_shard_cluster_matches_monolith_through_faults(self, plan):
+        def run(shards):
+            testbed = deploy(shards=shards, durability=True)
+            faults = FaultPlan(plan)
+            if plan == "server_crash":
+                faults.add("server_crash", 200.0, "server")
+                faults.add("server_restart", 300.0, "server")
+            else:
+                faults.partition("server", 200.0, 100.0)
+            ChaosController(testbed).apply(faults)
+            result = drive(testbed)
+            counters = testbed.server.health()["counters"]
+            counters.pop("shard_work", None)
+            return result, counters, testbed.network.partition_drops
+
+        mono = run(None)
+        assert mono[2] > 0  # the fault dropped traffic
+        assert run(1) == mono
+
+    def test_one_shard_cluster_fronts_its_worker(self):
         testbed = deploy(shards=1, users=["alice"])
-        assert testbed.server.address == "sensocial-server"
-        assert testbed.server.mqtt.client_id == "sensocial-server"
-        worker = testbed.server.shard_workers()[0]
-        assert worker.registration_partition is None
+        coordinator = testbed.server
+        assert coordinator.address == "sensocial-server"
+        [worker] = coordinator.shard_workers()
+        assert worker.address == "sensocial-shard-0"
+        assert worker.mqtt.client_id == "sensocial-shard-0"
+        assert worker.registration_partition["members"] == ["shard-0"]
+        assert worker.registration_partition["owner"] == "shard-0"
+        assert coordinator.verify_consistent() == []
 
 
 class TestMultiShardRouting:
@@ -280,7 +391,9 @@ class TestRebalance:
 
     def test_one_shard_cluster_cannot_rebalance(self):
         testbed = deploy(shards=1, users=["alice"])
-        with pytest.raises(MiddlewareError):
+        assert testbed.server.rebalance() == {"retired": [], "migrated": {}}
+        testbed.server.crash_shard(0)
+        with pytest.raises(MiddlewareError, match="no live shard left"):
             testbed.server.rebalance()
 
     def test_retired_shard_never_restarts(self):
@@ -387,28 +500,30 @@ class TestElasticLifecycle:
         with pytest.raises(MiddlewareError):
             testbed.server.add_shard(strategy="teleport")
 
-    def test_add_shard_converts_passthrough_in_place(self):
+    def test_add_shard_grows_a_one_shard_cluster(self):
         testbed = self.streaming_cluster(shards=1)
         coordinator = testbed.server
-        records = []
+        records, multicast_records = [], []
         coordinator.register_listener(
             lambda record: records.append(record.stream_id))
         multicast = coordinator.create_multicast_stream(
             ModalityType.ACCELEROMETER, Granularity.CLASSIFIED,
             MulticastQuery(user_ids=tuple(USERS)))
-        coordinator.add_shard()
-        # The coordinator took over the public ingress; the worker kept
-        # its MQTT identity (broker session untouched) but moved to its
-        # own shard address.
-        assert coordinator.address == "sensocial-server"
-        worker = coordinator.shard_workers()[0]
-        assert worker.address == "sensocial-shard-0"
-        assert worker.mqtt.client_id == "sensocial-server"
+        multicast.add_listener(
+            lambda record: multicast_records.append(record.user_id))
         assert multicast._manager is coordinator
-        seen = len(records)
+        entry = coordinator.add_shard()
+        assert entry["shard"] == "shard-1"
+        assert coordinator.address == "sensocial-server"
+        assert [worker.address for worker in coordinator.shard_workers()] \
+            == ["sensocial-shard-0", "sensocial-shard-1"]
+        seen, multicast_seen = len(records), len(multicast_records)
         testbed.run(600)
         testbed.run(120)
-        assert len(records) > seen  # listener survived the conversion
+        # Listener and multicast registered before growth keep working.
+        assert len(records) > seen
+        assert len(multicast_records) > multicast_seen
+        assert multicast.members() == sorted(USERS)
         assert zero_loss(testbed) == 0
         assert coordinator.verify_consistent() == []
 
@@ -452,8 +567,27 @@ class TestElasticLifecycle:
         with pytest.raises(MiddlewareError):  # last active shard
             testbed.server.remove_shard(1)
         one = deploy(shards=1, users=["alice"])
-        with pytest.raises(MiddlewareError):  # passthrough
+        with pytest.raises(MiddlewareError):  # last active shard
             one.server.remove_shard(0)
+
+    def test_storage_faults_follow_the_live_shard(self):
+        testbed = self.streaming_cluster(shards=2)
+        coordinator = testbed.server
+        retired = coordinator.shard_workers()[0]
+        coordinator.remove_shard(0)
+        [survivor] = coordinator.shard_workers()
+        assert coordinator.durability is survivor.durability
+        ChaosController(testbed).apply(FaultPlan("late-write-errors")
+                                       .storage_write_errors(
+                                           at=testbed.world.now, count=3))
+        testbed.run(600)
+        testbed.run(120)
+        # The failures hit the shard that serves traffic, and its
+        # retry path absorbs them without loss.
+        assert survivor.durability.medium.append_failures == 3
+        assert retired.durability.medium.append_failures == 0
+        assert retired.durability.medium.pending_write_failures == 0
+        assert zero_loss(testbed) == 0
 
     def test_rolling_restart_keeps_serving(self):
         testbed = self.streaming_cluster(shards=3)
