@@ -1,11 +1,12 @@
 """Sharded server cluster: consistent-hash placement over shard workers.
 
-Splits the monolithic server middleware into shard-agnostic
-:class:`ShardWorker`\\ s and a :class:`ClusterCoordinator` owning
-placement, routing and the merged cross-shard views.  A 1-shard
-cluster is bit-identical to the monolithic server; see
-``docs/SCALING.md`` for the ring, the rebalance protocol and the
-zero-acknowledged-loss recovery semantics.
+Each :class:`ShardWorker` is a full server middleware over one
+partition; a :class:`ClusterCoordinator` owns placement, routing and
+the merged cross-shard views.  The coordinator and the monolithic
+server share one application plane (OSN intake, trigger fan-out,
+multicasts, listeners).  A 1-shard cluster is bit-identical to the
+monolithic server; see ``docs/SCALING.md`` for the ring, the
+rebalance protocol and the zero-acknowledged-loss recovery semantics.
 """
 
 from repro.cluster.coordinator import ClusterCoordinator

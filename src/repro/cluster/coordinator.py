@@ -1,13 +1,16 @@
 """The cluster coordinator: placement, routing and merged views.
 
-:class:`ClusterCoordinator` is the placement-aware half of the old
-monolithic ``ServerSenSocialManager`` split.  It owns the
-consistent-hash ring that maps devices to :class:`ShardWorker`\\ s,
-routes ingest and OSN action triggers to the owning shard, merges
-every cross-shard concern — multicast membership queries, cross-user
-filter context, aggregators, the database facade — and aggregates
-per-shard health into one cluster document.  Server applications talk
-to the coordinator exactly as they talked to the monolith.
+:class:`ClusterCoordinator` fronts N :class:`ShardWorker`\\ s, each a
+full ``ServerSenSocialManager`` over one partition.  It owns the
+consistent-hash ring that maps devices to workers, routes ingest to
+the owning shard, merges the shards' databases behind one facade and
+aggregates per-shard health into one cluster document.  The
+application plane — plug-ins, listeners, multicasts, aggregators and
+OSN action intake with its trigger fan-out — is the monolith's own
+:class:`~repro.core.server.manager.ApplicationPlane`, which reaches
+the shards through :meth:`shard_workers`, :meth:`shard_for_user` and
+:meth:`shard_for_device`.  Server applications talk to the coordinator
+exactly as they talked to the monolith.
 
 One code path at every shard count: the coordinator registers the
 public server address itself and forwards each data-plane message
@@ -40,24 +43,20 @@ from repro.cluster.worker import REGISTRATION_KEY_LEVEL, ShardWorker
 from repro.core.common.errors import MiddlewareError
 from repro.core.common.filters import Filter
 from repro.core.common.granularity import Granularity
-from repro.core.common.modality import ModalityType
 from repro.core.common.stream_config import StreamMode
-from repro.core.server.aggregator import Aggregator
 from repro.core.server.filter_manager import ServerFilterManager
-from repro.core.server.manager import _PLATFORM_MODALITY
-from repro.core.server.multicast import (MulticastQuery, MulticastStream,
-                                        select_users)
+from repro.core.server.manager import ApplicationPlane
+from repro.core.server.multicast import MulticastQuery, select_users
 from repro.core.server.server_stream import ServerStream
 from repro.core.server.storage import ServerDatabase
 from repro.net.message import Message
 from repro.net.network import Endpoint, Network
 from repro.obs import Healthcheck, Observability
 from repro.obs.health import STATUS_DEGRADED, STATUS_DOWN
-from repro.osn.actions import ActionType, OsnAction
 from repro.simkit.world import World
 
 
-class ClusterCoordinator(Endpoint):
+class ClusterCoordinator(ApplicationPlane, Endpoint):
     """N shard workers behind the monolithic server's API."""
 
     def __init__(self, world: World, network: Network, shards: int = 1, *,
@@ -71,6 +70,7 @@ class ClusterCoordinator(Endpoint):
             raise MiddlewareError(
                 f"durability list has {len(durability)} entries "
                 f"for {shards} shards")
+        super().__init__()
         self.world = world
         self.network = network
         self.address = address
@@ -90,14 +90,9 @@ class ClusterCoordinator(Endpoint):
         #: Learned placement maps, fed by per-shard registration hooks.
         self._user_device: dict[str, str] = {}
         self._user_shard: dict[str, str] = {}
-        self._plugins: list = []
-        self._action_listeners: list[Callable[[OsnAction], None]] = []
-        self._registration_listeners: list[Callable[[str, str], None]] = []
         #: Record listeners tracked cluster-side so shards added later
         #: inherit every listener registered before they existed.
         self._record_listeners: list[Callable] = []
-        self.multicasts: list[MulticastStream] = []
-        self._multicast_seq = itertools.count(1)
         self.rebalances = 0
         self.scale_outs = 0
         self.scale_ins = 0
@@ -752,13 +747,10 @@ class ClusterCoordinator(Endpoint):
         elif protocol == "location-update":
             shard = self._owner(message.payload, "user_id",
                                 self.shard_for_user)
-            if shard.crashed or not shard._on_location_update(
-                    message.payload):
-                return
             # The owning shard refreshed nothing: multicasts live here.
-            for multicast in list(self.multicasts):
-                if multicast.query.is_geo_dependent:
-                    multicast.refresh()
+            if not shard.crashed and shard._on_location_update(
+                    message.payload):
+                self._refresh_geo_multicasts()
 
     def _owner(self, payload, key: str, place) -> ShardWorker:
         """The shard ``place`` puts ``payload[key]`` on.
@@ -772,17 +764,7 @@ class ClusterCoordinator(Endpoint):
         return place(key_value) if isinstance(key_value, str) \
             else self._first_active
 
-    # -- plug-ins and listeners ---------------------------------------
-
-    def attach_plugin(self, plugin) -> None:
-        self._plugins.append(plugin)
-        plugin.add_listener(self._on_osn_action)
-
-    def plugins(self) -> list:
-        return list(self._plugins)
-
-    def add_action_listener(self, listener) -> None:
-        self._action_listeners.append(listener)
+    # -- listeners ----------------------------------------------------
 
     def register_listener(self, listener) -> None:
         # Records are dispatched by whichever shard ingests them, so
@@ -792,25 +774,6 @@ class ClusterCoordinator(Endpoint):
         self._record_listeners.append(listener)
         for shard in self.shard_workers():
             shard.register_listener(listener)
-
-    def on_registration(self, listener) -> None:
-        self._registration_listeners.append(listener)
-
-    # -- user/graph management ----------------------------------------
-
-    def sync_social_graph(self, graph) -> None:
-        database = self.database
-        for user_id in graph.users():
-            if database.is_registered(user_id):
-                database.set_friends(user_id, [
-                    friend for friend in graph.friends(user_id)
-                    if database.is_registered(friend)])
-
-    def registered_users(self) -> list[str]:
-        return self.database.user_ids()
-
-    def device_of(self, user_id: str) -> str | None:
-        return self.database.device_of(user_id)
 
     # -- remote stream lifecycle --------------------------------------
 
@@ -831,95 +794,11 @@ class ClusterCoordinator(Endpoint):
                 shard.destroy_stream(stream_id)
                 return
 
-    # -- aggregation and multicast ------------------------------------
-
-    def allocate_multicast_name(self) -> str:
-        return f"mcast-{next(self._multicast_seq)}"
-
-    def create_aggregator(self, name: str,
-                          streams: list[ServerStream]) -> Aggregator:
-        return Aggregator.wrap(name, streams)
-
-    def create_multicast_stream(self, modality: ModalityType,
-                                granularity: Granularity,
-                                query: MulticastQuery, *,
-                                stream_filter: Filter | None = None,
-                                settings: dict | None = None,
-                                mode: StreamMode = StreamMode.CONTINUOUS,
-                                name: str | None = None) -> MulticastStream:
-        multicast = MulticastStream(
-            self, modality, granularity, query, stream_filter=stream_filter,
-            settings=settings, mode=mode, name=name)
-        self.multicasts.append(multicast)
-        multicast.refresh()
-        return multicast
-
-    def on_multicast_destroyed(self, multicast: MulticastStream) -> None:
-        if multicast in self.multicasts:
-            self.multicasts.remove(multicast)
+    # -- multicast membership -----------------------------------------
 
     def select_users(self, query: MulticastQuery) -> list[str]:
         """Monolith membership semantics over the merged database."""
         return select_users(self.database, query)
-
-    # -- OSN action plane ---------------------------------------------
-
-    def _on_osn_action(self, action: OsnAction) -> None:
-        """Cluster version of the monolith's action intake: account on
-        the owning shard, mark shared filter context, maintain
-        cross-shard friendships, then route triggers globally."""
-        shard = self.shard_for_user(action.user_id)
-        if shard.crashed:
-            shard.actions_lost_crashed += 1
-            return
-        shard.actions_received += 1
-        latency = self.world.now - action.created_at
-        shard._recent_action_latencies.append(latency)
-        if self.obs is not None:
-            self.obs.telemetry.timer(
-                "osn_action_delay", platform=action.platform).observe(latency)
-        shard.database.store_action(action)
-        modality = _PLATFORM_MODALITY.get(action.platform)
-        if modality is not None:
-            self.filters.mark_osn_active(action.user_id, modality)
-        self._maintain_friendships(action)
-        for listener in list(self._action_listeners):
-            listener(action)
-        self._route_action_triggers(action)
-
-    def _maintain_friendships(self, action: OsnAction) -> None:
-        friend_id = action.payload.get("friend_id")
-        if friend_id is None:
-            return
-        if action.type is ActionType.FRIEND_ADD:
-            self.database.add_friend(action.user_id, friend_id)
-        elif action.type is ActionType.FRIEND_REMOVE:
-            self.database.remove_friend(action.user_id, friend_id)
-
-    def _route_action_triggers(self, action: OsnAction) -> None:
-        """Fan one action out to every device it must trigger, in
-        global stream-creation order (the shared ``srv-sN`` sequence
-        makes per-shard order slots globally comparable)."""
-        own_device = self._user_device.get(action.user_id)
-        if own_device is None:
-            own_device = self.database.device_of(action.user_id)
-        if own_device is not None:
-            self.shard_for_device(own_device).triggers.send_action_trigger(
-                own_device, action)
-        entries: list[tuple[int, ShardWorker, ServerStream]] = []
-        for shard in self.shard_workers():
-            bucket = shard._osn_trigger_index.get(action.user_id)
-            if not bucket:
-                continue
-            for stream in bucket.values():
-                if (stream.destroyed or stream.device_id == own_device
-                        or shard.streams.get(stream.stream_id) is not stream):
-                    continue
-                entries.append((shard._stream_order.get(stream.stream_id, 0),
-                                shard, stream))
-        for _, shard, stream in sorted(entries, key=lambda entry: entry[0]):
-            shard.triggers.send_action_trigger(
-                stream.device_id, action, stream_ids=[stream.stream_id])
 
     # -- observability ------------------------------------------------
 

@@ -1,11 +1,13 @@
-"""The shard worker: one partition's slice of the server middleware.
+"""The shard worker: one partition of the server tier.
 
-A :class:`ShardWorker` is the shard-agnostic half of the old
-monolithic ``ServerSenSocialManager`` split (ISSUE 5): the ingest pump,
-dedup window, filter gates and per-shard document store (plus an
-optional write-ahead journal) — everything that scales with *this
-partition's* devices.  Placement, cross-shard routing and the merged
-views live in :class:`repro.cluster.ClusterCoordinator`.
+A :class:`ShardWorker` is a full ``ServerSenSocialManager`` behind the
+cluster coordinator: the ingest pump, dedup window, filter gates,
+trigger manager and per-shard document store (plus an optional
+write-ahead journal) — everything that scales with *this partition's*
+devices.  Placement, cross-shard routing and the merged views live in
+:class:`repro.cluster.ClusterCoordinator`, which runs the shared
+application plane (OSN intake, trigger fan-out, multicasts) over its
+workers.
 
 Each worker owns its own network address, MQTT session and database.
 Its registration subscription carries a consistent-hash *partition

@@ -49,9 +49,6 @@ class Aggregator:
             aggregator.add_stream(stream)
         return aggregator
 
-    def member_count(self) -> int:
-        return len(self._members)
-
     # -- stream-like surface ------------------------------------------------------
 
     def add_listener(self, listener: RecordListener) -> "Aggregator":

@@ -121,12 +121,6 @@ class ServerFilterManager:
         self._osn_active_until[(user_id, modality)] = self._world.now + window_s
         self._invalidate(user_id, modality)
 
-    def context_value(self, user_id: str, modality: ModalityType) -> Any:
-        if modality in OSN_MODALITIES:
-            until = self._osn_active_until.get((user_id, modality), -1.0)
-            return ModalityValue.ACTIVE if self._world.now < until else "inactive"
-        return self._context.get(user_id, {}).get(modality)
-
     # -- stream gates ----------------------------------------------------------
 
     def stream_allows(self, key: str, stream_filter: Filter) -> bool:
@@ -179,13 +173,6 @@ class ServerFilterManager:
             self._gates[key].verdict = None
 
     # -- evaluation -----------------------------------------------------------------
-
-    def cross_user_conditions_satisfied(
-            self, conditions: list[Condition]) -> bool:
-        """Evaluate the user-qualified conditions of a stream's filter."""
-        satisfied, _ = self._evaluate(
-            [condition for condition in conditions if condition.is_cross_user])
-        return satisfied
 
     def _evaluate(self, cross: list[Condition]) -> tuple[bool, float]:
         """Evaluate pre-filtered cross-user conditions; also returns

@@ -58,7 +58,155 @@ _PLATFORM_MODALITY = {
     "twitter": ModalityType.TWITTER_ACTIVITY,
 }
 
-class ServerSenSocialManager(Endpoint):
+class ApplicationPlane:
+    """The server's application plane, shared by every server topology.
+
+    Plug-ins, listeners, the user and graph API, aggregators, multicasts
+    and OSN action intake (§4).  It reaches partitions only through
+    ``shard_workers()``, ``shard_for_user()`` and ``shard_for_device()``:
+    the monolith answers them with itself, a
+    :class:`repro.cluster.ClusterCoordinator` with its shard workers.
+    """
+
+    def __init__(self) -> None:
+        self.multicasts: list[MulticastStream] = []
+        self._plugins: list[OsnPlugin] = []
+        self._action_listeners: list[ActionListener] = []
+        self._registration_listeners: list[Callable[[str, str], None]] = []
+        #: Per-manager multicast naming counter: module-global state
+        #: here used to leak across simulations in one process, making
+        #: back-to-back runs disagree on stream names.
+        self._multicast_seq = itertools.count(1)
+
+    def attach_plugin(self, plugin: OsnPlugin) -> None:
+        """Consume a platform plug-in's captured actions."""
+        self._plugins.append(plugin)
+        plugin.add_listener(self._on_osn_action)
+
+    def plugins(self) -> list[OsnPlugin]:
+        return list(self._plugins)
+
+    # -- application API -------------------------------------------------------
+
+    def add_action_listener(self, listener: ActionListener) -> None:
+        """Server-app callback for every captured OSN action."""
+        self._action_listeners.append(listener)
+
+    def on_registration(self, listener: Callable[[str, str], None]) -> None:
+        """Callback fired as ``(user_id, device_id)`` register."""
+        self._registration_listeners.append(listener)
+
+    # -- user/graph management ----------------------------------------------------
+
+    def sync_social_graph(self, graph) -> None:
+        """Mirror an OSN social graph's friendships into the database."""
+        for user_id in graph.users():
+            if self.database.is_registered(user_id):
+                self.database.set_friends(user_id, [
+                    friend for friend in graph.friends(user_id)
+                    if self.database.is_registered(friend)])
+
+    def registered_users(self) -> list[str]:
+        return self.database.user_ids()
+
+    def device_of(self, user_id: str) -> str | None:
+        return self.database.device_of(user_id)
+
+    # -- aggregation and multicast ------------------------------------------------------
+
+    def allocate_multicast_name(self) -> str:
+        """Next default multicast stream name, scoped to this manager."""
+        return f"mcast-{next(self._multicast_seq)}"
+
+    def create_aggregator(self, name: str,
+                          streams: list[ServerStream]) -> Aggregator:
+        return Aggregator.wrap(name, streams)
+
+    def create_multicast_stream(self, modality: ModalityType,
+                                granularity: Granularity,
+                                query: MulticastQuery, *,
+                                stream_filter: Filter | None = None,
+                                settings: dict | None = None,
+                                mode: StreamMode = StreamMode.CONTINUOUS,
+                                name: str | None = None) -> MulticastStream:
+        """Instantiate a multicast stream and populate its membership."""
+        multicast = MulticastStream(
+            self, modality, granularity, query, stream_filter=stream_filter,
+            settings=settings, mode=mode, name=name)
+        self.multicasts.append(multicast)
+        multicast.refresh()
+        return multicast
+
+    def on_multicast_destroyed(self, multicast: MulticastStream) -> None:
+        if multicast in self.multicasts:
+            self.multicasts.remove(multicast)
+
+    def _refresh_geo_multicasts(self) -> None:
+        # Called after an applied location update: geo-qualified
+        # memberships may have changed — the §3.2 geo-fenced pattern
+        # (streams follow users as they move).
+        for multicast in list(self.multicasts):
+            if multicast.query.is_geo_dependent:
+                multicast.refresh()
+
+    # -- OSN action intake --------------------------------------------------------------
+
+    def _on_osn_action(self, action: OsnAction) -> None:
+        """Take in one captured action on its user's partition (§4)."""
+        home = self.shard_for_user(action.user_id)
+        if home.crashed:
+            # Plug-in listeners call us synchronously (no network hop
+            # to drop the message): a dead process simply misses them.
+            home.actions_lost_crashed += 1
+            return
+        home.actions_received += 1
+        delay = self.world.now - action.created_at
+        home._recent_action_latencies.append(delay)
+        if self.obs is not None:
+            self.obs.telemetry.timer(
+                "osn_action_delay", platform=action.platform).observe(delay)
+        home.database.store_action(action)
+        modality = _PLATFORM_MODALITY.get(action.platform)
+        if modality is not None:
+            self.filters.mark_osn_active(action.user_id, modality)
+        self._maintain_friendships(action)
+        for listener in list(self._action_listeners):
+            listener(action)
+        self._route_action_triggers(action)
+
+    def _maintain_friendships(self, action: OsnAction) -> None:
+        """Classify friendship actions to keep OSN links fresh (§4)."""
+        friend_id = action.payload.get("friend_id")
+        if friend_id is None:
+            return
+        if action.type is ActionType.FRIEND_ADD:
+            self.database.add_friend(action.user_id, friend_id)
+        elif action.type is ActionType.FRIEND_REMOVE:
+            self.database.remove_friend(action.user_id, friend_id)
+
+    def _route_action_triggers(self, action: OsnAction) -> None:
+        """Decide which devices must sense because of this action."""
+        own_device = self.database.device_of(action.user_id)
+        if own_device is not None:
+            self.shard_for_device(own_device).triggers.send_action_trigger(
+                own_device, action)
+        # Streams conditioned on *this* user's OSN activity from other
+        # devices (cross-user OSN conditions) get a targeted trigger.
+        # Each partition indexes exactly those streams; merging the
+        # buckets in creation (``srv-sN``) order gives one fan-out order
+        # whatever partitions the streams live on.
+        targets = [(stream, shard) for shard in self.shard_workers()
+                   for stream in shard._osn_trigger_index.get(
+                       action.user_id, {}).values()
+                   if not (stream.destroyed or stream.device_id == own_device
+                           or shard.streams.get(stream.stream_id)
+                           is not stream)]
+        for stream, shard in sorted(targets, key=lambda target: target[0].seq):
+            shard.triggers.send_action_trigger(
+                stream.device_id, action, stream_ids=[stream.stream_id])
+
+
+class ServerSenSocialManager(ApplicationPlane, Endpoint):
     """Singleton-style server middleware core."""
 
     def __init__(self, world: World, network: Network, *,
@@ -68,6 +216,7 @@ class ServerSenSocialManager(Endpoint):
                  durability=None,
                  filters: ServerFilterManager | None = None,
                  stream_seq=None):
+        super().__init__()
         self.world = world
         self.network = network
         self.address = address
@@ -90,29 +239,18 @@ class ServerSenSocialManager(Endpoint):
         self.filters = filters if filters is not None \
             else ServerFilterManager(world)
         self.streams: dict[str, ServerStream] = {}
-        self.multicasts: list[MulticastStream] = []
-        self._plugins: list[OsnPlugin] = []
-        self._action_listeners: list[ActionListener] = []
         self._record_listeners: list[RecordListener] = []
-        self._registration_listeners: list[Callable[[str, str], None]] = []
         #: Stream-id sequence.  Injectable (shared ``itertools.count``)
         #: so every shard of a cluster draws globally unique, globally
         #: creation-ordered ``srv-sN`` ids.
         self._stream_seq = stream_seq if stream_seq is not None \
             else itertools.count(1)
-        #: Per-manager multicast naming counter: module-global state
-        #: here used to leak across simulations in one process, making
-        #: back-to-back runs disagree on stream names.
-        self._multicast_seq = itertools.count(1)
         #: OSN trigger routing index: acting user id -> streams whose
         #: filters carry a cross-user OSN condition on that user, so an
         #: action only touches the streams it can trigger instead of
         #: scanning every stream (see ``_route_action_triggers``).
         self._osn_trigger_index: dict[str, dict[str, ServerStream]] = {}
         self._trigger_users: dict[str, tuple[str, ...]] = {}
-        #: Stream creation order, used to keep trigger fan-out in the
-        #: exact order the full-scan implementation produced.
-        self._stream_order: dict[str, int] = {}
         #: Cached telemetry counter handles for the ingest hot loop
         #: (avoids re-resolving name+labels per record).
         self._counter_handles: dict[tuple, object] = {}
@@ -196,44 +334,23 @@ class ServerSenSocialManager(Endpoint):
             self.obs.telemetry.counter("server_restarts").inc()
         self._update_dedup_metrics()
 
-    def attach_plugin(self, plugin: OsnPlugin) -> None:
-        """Consume a platform plug-in's captured actions."""
-        self._plugins.append(plugin)
-        plugin.add_listener(self._on_osn_action)
+    # -- partitions: the monolith is its own single partition ---------------
 
-    def plugins(self) -> list[OsnPlugin]:
-        return list(self._plugins)
+    def shard_workers(self) -> list[ServerSenSocialManager]:
+        return [self]
+
+    def shard_for_user(self, user_id: str) -> ServerSenSocialManager:
+        return self
+
+    def shard_for_device(self, device_id: str) -> ServerSenSocialManager:
+        return self
 
     # -- application API -------------------------------------------------------
-
-    def add_action_listener(self, listener: ActionListener) -> None:
-        """Server-app callback for every captured OSN action."""
-        self._action_listeners.append(listener)
 
     def register_listener(self, listener: RecordListener) -> None:
         """Server-app callback for every incoming stream record (the
         paper's server-side ``registerListener()``)."""
         self._record_listeners.append(listener)
-
-    def on_registration(self, listener: Callable[[str, str], None]) -> None:
-        """Callback fired as ``(user_id, device_id)`` register."""
-        self._registration_listeners.append(listener)
-
-    # -- user/graph management ----------------------------------------------------
-
-    def sync_social_graph(self, graph) -> None:
-        """Mirror an OSN social graph's friendships into the database."""
-        for user_id in graph.users():
-            if self.database.is_registered(user_id):
-                self.database.set_friends(user_id, [
-                    friend for friend in graph.friends(user_id)
-                    if self.database.is_registered(friend)])
-
-    def registered_users(self) -> list[str]:
-        return self.database.user_ids()
-
-    def device_of(self, user_id: str) -> str | None:
-        return self.database.device_of(user_id)
 
     # -- remote stream lifecycle -----------------------------------------------------
 
@@ -266,9 +383,8 @@ class ServerSenSocialManager(Endpoint):
             send_to_server=True,
             created_by="server",
         )
-        stream = ServerStream(self, config, user_id)
+        stream = ServerStream(self, config, user_id, seq)
         self.streams[config.stream_id] = stream
-        self._stream_order[config.stream_id] = seq
         self._index_stream_triggers(stream)
         self.triggers.push_config(config)
         return stream
@@ -288,7 +404,6 @@ class ServerSenSocialManager(Endpoint):
     def destroy_stream(self, stream_id: str) -> None:
         stream = self.streams.pop(stream_id, None)
         self._unindex_stream_triggers(stream_id)
-        self._stream_order.pop(stream_id, None)
         self.filters.drop_gate(stream_id)
         if stream is None or stream.destroyed:
             return
@@ -326,14 +441,11 @@ class ServerSenSocialManager(Endpoint):
         live :class:`ServerStream` handles (listeners and all) are
         re-homed onto the shards that inherit the underlying devices.
         The stream keeps its id — the device keeps publishing under it
-        — and its creation-order slot, so trigger fan-out order is
+        — and its creation ``seq``, so trigger fan-out order is
         unchanged.
         """
         stream._manager = self
         self.streams[stream.stream_id] = stream
-        seq = int(stream.stream_id.rsplit("s", 1)[-1]) \
-            if stream.stream_id.startswith("srv-s") else 0
-        self._stream_order[stream.stream_id] = seq
         self._index_stream_triggers(stream)
 
     def release_stream(self, stream_id: str) -> ServerStream | None:
@@ -341,38 +453,10 @@ class ServerSenSocialManager(Endpoint):
         adopting manager keeps serving it)."""
         stream = self.streams.pop(stream_id, None)
         self._unindex_stream_triggers(stream_id)
-        self._stream_order.pop(stream_id, None)
         self.filters.drop_gate(stream_id)
         return stream
 
-    # -- aggregation and multicast ------------------------------------------------------
-
-    def allocate_multicast_name(self) -> str:
-        """Next default multicast stream name, scoped to this manager."""
-        return f"mcast-{next(self._multicast_seq)}"
-
-    def create_aggregator(self, name: str,
-                          streams: list[ServerStream]) -> Aggregator:
-        return Aggregator.wrap(name, streams)
-
-    def create_multicast_stream(self, modality: ModalityType,
-                                granularity: Granularity,
-                                query: MulticastQuery, *,
-                                stream_filter: Filter | None = None,
-                                settings: dict | None = None,
-                                mode: StreamMode = StreamMode.CONTINUOUS,
-                                name: str | None = None) -> MulticastStream:
-        """Instantiate a multicast stream and populate its membership."""
-        multicast = MulticastStream(
-            self, modality, granularity, query, stream_filter=stream_filter,
-            settings=settings, mode=mode, name=name)
-        self.multicasts.append(multicast)
-        multicast.refresh()
-        return multicast
-
-    def on_multicast_destroyed(self, multicast: MulticastStream) -> None:
-        if multicast in self.multicasts:
-            self.multicasts.remove(multicast)
+    # -- multicast membership ------------------------------------------------------------
 
     def select_users(self, query: MulticastQuery) -> list[str]:
         """Evaluate a multicast membership query against the database."""
@@ -604,64 +688,8 @@ class ServerSenSocialManager(Endpoint):
             payload["user_id"], payload["lon"], payload["lat"],
             payload.get("place"), payload["timestamp"])
         self.filters.observe_location(payload["user_id"], payload.get("place"))
-        # Geo-qualified multicast memberships may have changed: the
-        # §3.2 geo-fenced pattern (streams follow users as they move).
-        for multicast in list(self.multicasts):
-            if multicast.query.is_geo_dependent:
-                multicast.refresh()
+        self._refresh_geo_multicasts()
         return True
-
-    def _on_osn_action(self, action: OsnAction) -> None:
-        if self.crashed:
-            # Plug-in listeners call us synchronously (no network hop
-            # to drop the message): a dead process simply misses them.
-            self.actions_lost_crashed += 1
-            return
-        self.actions_received += 1
-        self._recent_action_latencies.append(self.world.now - action.created_at)
-        if self.obs is not None:
-            self.obs.telemetry.timer(
-                "osn_action_delay", platform=action.platform).observe(
-                    self.world.now - action.created_at)
-        self.database.store_action(action)
-        modality = _PLATFORM_MODALITY.get(action.platform)
-        if modality is not None:
-            self.filters.mark_osn_active(action.user_id, modality)
-        self._maintain_friendships(action)
-        for listener in list(self._action_listeners):
-            listener(action)
-        self._route_action_triggers(action)
-
-    def _maintain_friendships(self, action: OsnAction) -> None:
-        """Classify friendship actions to keep OSN links fresh (§4)."""
-        friend_id = action.payload.get("friend_id")
-        if friend_id is None:
-            return
-        if action.type is ActionType.FRIEND_ADD:
-            self.database.add_friend(action.user_id, friend_id)
-        elif action.type is ActionType.FRIEND_REMOVE:
-            self.database.remove_friend(action.user_id, friend_id)
-
-    def _route_action_triggers(self, action: OsnAction) -> None:
-        """Decide which devices must sense because of this action."""
-        own_device = self.database.device_of(action.user_id)
-        if own_device is not None:
-            self.triggers.send_action_trigger(own_device, action)
-        # Streams conditioned on *this* user's OSN activity from other
-        # devices (cross-user OSN conditions) get a targeted trigger.
-        # The index holds exactly those streams; iterating in creation
-        # order reproduces the old full-scan's fan-out order.
-        bucket = self._osn_trigger_index.get(action.user_id)
-        if not bucket:
-            return
-        order = self._stream_order
-        for stream in sorted(bucket.values(),
-                             key=lambda s: order.get(s.stream_id, 0)):
-            if (stream.destroyed or stream.device_id == own_device
-                    or self.streams.get(stream.stream_id) is not stream):
-                continue
-            self.triggers.send_action_trigger(
-                stream.device_id, action, stream_ids=[stream.stream_id])
 
     # -- observability ---------------------------------------------------------------------
 

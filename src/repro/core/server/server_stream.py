@@ -21,10 +21,14 @@ RecordListener = Callable[[StreamRecord], None]
 class ServerStream:
     """A remotely managed stream, owned by the server manager."""
 
-    def __init__(self, manager, config: StreamConfig, user_id: str):
+    def __init__(self, manager, config: StreamConfig, user_id: str,
+                 seq: int):
         self._manager = manager
         self.config = config
         self.user_id = user_id
+        #: Creation order (the ``N`` of ``srv-sN``): OSN trigger fan-out
+        #: goes out in this order, on whichever partition holds the stream.
+        self.seq = seq
         self.destroyed = False
         self._listeners: list[RecordListener] = []
         self.records_received = 0

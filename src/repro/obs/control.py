@@ -307,9 +307,7 @@ class SloControlPlane:
 
     def _triggers_for(self, device_id: str):
         """The trigger manager that owns ``device_id``'s MQTT path."""
-        shard_for = getattr(self.server, "shard_for_device", None)
-        manager = shard_for(device_id) if shard_for is not None \
-            else self.server
+        manager = self.server.shard_for_device(device_id)
         if getattr(manager, "crashed", False) or not manager.mqtt.connected:
             return None  # the owning path is down; retry next episode
         return manager.triggers

@@ -23,6 +23,7 @@ from repro.core.server.filter_manager import (
     ServerFilterManager,
 )
 from repro.device import ActivityState
+from repro.scenarios.testbed import SenSocialTestbed
 from repro.simkit.world import World
 
 
@@ -149,6 +150,35 @@ class TestOsnWindowExpiry:
 
 
 class TestTriggerIndex:
+    """OSN trigger routing on the monolith.
+
+    :class:`TestTriggerIndexOnTwoShards` reruns every case on a
+    two-shard cluster, whose coordinator merges the partitions' trigger
+    buckets.  The spies and index checks go through ``shard_workers()``,
+    which the monolith answers with itself.
+    """
+
+    shards = None
+
+    @pytest.fixture
+    def testbed(self):
+        return SenSocialTestbed(seed=7, shards=self.shards)
+
+    @staticmethod
+    def spy_on_triggers(server) -> list[str]:
+        """Stream ids of every targeted trigger, in the order every
+        partition's Trigger Manager was asked to send them."""
+        sent: list[str] = []
+        for partition in server.shard_workers():
+            send = partition.triggers.send_action_trigger
+
+            def spy(device_id, action, stream_ids=None, send=send):
+                sent.extend(stream_ids or ())
+                return send(device_id, action, stream_ids=stream_ids)
+
+            partition.triggers.send_action_trigger = spy
+        return sent
+
     def test_only_streams_watching_the_actor_fire(self, testbed):
         """§4.2 trigger routing through the index: an OSN action must
         reach exactly the streams conditioned on the acting user."""
@@ -181,10 +211,12 @@ class TestTriggerIndex:
             stream_filter=Filter([Condition(
                 ModalityType.FACEBOOK_ACTIVITY, Operator.EQUALS,
                 ModalityValue.ACTIVE, user_id="bob")]))
-        assert testbed.server._osn_trigger_index.get("bob")
+        partitions = testbed.server.shard_workers()
+        assert any(partition._osn_trigger_index.get("bob")
+                   for partition in partitions)
         testbed.server.destroy_stream(stream.stream_id)
-        assert not testbed.server._osn_trigger_index.get("bob")
-        assert stream.stream_id not in testbed.server._stream_order
+        assert not any(partition._osn_trigger_index.get("bob")
+                       for partition in partitions)
         records = []
         stream.add_listener(records.append)
         testbed.run(50.0)
@@ -193,41 +225,36 @@ class TestTriggerIndex:
         assert records == []
 
     def test_updated_filter_keeps_creation_order_fanout(self, testbed):
-        """Re-filing a stream under new trigger users must not move it
-        to the back of the fan-out: triggers go out in creation order
-        (exactly what the old full-scan over ``streams`` produced)."""
-        testbed.add_user("alice", "Paris")
-        testbed.add_user("bob", "Paris")
+        """Triggers go out in creation (``srv-sN``) order: a stream
+        re-filed under new trigger users keeps its place, and on a
+        cluster the partitions' buckets interleave by creation order."""
+        for user_id in ("alice", "bob", "carol", "dave", "erin", "frank"):
+            testbed.add_user(user_id, "Paris")
 
         def watching_bob():
             return Filter([Condition(
                 ModalityType.FACEBOOK_ACTIVITY, Operator.EQUALS,
                 ModalityValue.ACTIVE, user_id="bob")])
 
-        streams = [testbed.server.create_stream(
-            "alice", ModalityType.WIFI, Granularity.RAW,
-            stream_filter=watching_bob()) for _ in range(3)]
-        # Touch the middle stream's filter: the index bucket re-inserts
-        # it last, but _stream_order must keep it in the middle.
-        testbed.server.update_stream_filter(streams[1], watching_bob())
-        sent = []
-        triggers = testbed.server.triggers
-        original = triggers.send_action_trigger
-
-        def spy(device_id, action, stream_ids=None):
-            if stream_ids:
-                sent.extend(stream_ids)
-            return original(device_id, action, stream_ids=stream_ids)
-
-        triggers.send_action_trigger = spy
-        try:
-            testbed.run(50.0)
-            testbed.facebook.perform_action("bob", "post", content="ping")
-            testbed.run(100.0)
-        finally:
-            triggers.send_action_trigger = original
-        expected = [stream.stream_id for stream in streams]
-        assert sent[:3] == expected
+        server = testbed.server
+        streams = [server.create_stream(
+            watcher, ModalityType.WIFI, Granularity.RAW,
+            stream_filter=watching_bob())
+            for watcher in ("alice", "carol", "dave", "erin", "frank",
+                            "alice")]
+        holders = [server.shard_for_device(stream.device_id)
+                   for stream in streams]
+        if self.shards:
+            # srv-s5 sits on the other shard, between shard-0 streams.
+            assert [holder.shard_id for holder in holders] == [
+                "shard-0"] * 4 + ["shard-1", "shard-0"]
+        # Touch srv-s2's filter: its bucket re-inserts it last.
+        streams[1].set_filter(watching_bob())
+        sent = self.spy_on_triggers(server)
+        testbed.run(50.0)
+        testbed.facebook.perform_action("bob", "post", content="ping")
+        testbed.run(100.0)
+        assert sent[:6] == [stream.stream_id for stream in streams]
 
     def test_gate_cache_pays_off_in_a_real_run(self, testbed):
         """End to end: a continuous stream whose cross-user dependency
@@ -248,3 +275,7 @@ class TestTriggerIndex:
         assert filters.gate_cache_hits > 0
         total_checks = filters.gate_cache_hits + filters.gate_evaluations
         assert filters.gate_evaluations < total_checks
+
+
+class TestTriggerIndexOnTwoShards(TestTriggerIndex):
+    shards = 2
