@@ -290,8 +290,8 @@ class ServerSenSocialManager(ApplicationPlane, Endpoint):
         Both network endpoints partition (in-flight messages drop and
         QoS layers retry), the durable intake queue is wiped — those
         records are unacked, so mobile outboxes retransmit them after
-        the restart — and synchronously delivered OSN actions are lost
-        until :meth:`restart`.
+        the restart — held MQTT publishes are dropped, and synchronously
+        delivered OSN actions are lost until :meth:`restart`.
         """
         if self.crashed:
             return
@@ -301,6 +301,7 @@ class ServerSenSocialManager(ApplicationPlane, Endpoint):
         self.network.set_down(self.mqtt.address)
         if self.durability is not None:
             self.durability.on_crash()
+        self.mqtt.discard_held()
         if self.obs is not None:
             self.obs.telemetry.counter("server_crashes").inc()
 
@@ -319,17 +320,15 @@ class ServerSenSocialManager(ApplicationPlane, Endpoint):
         self.restarts += 1
         self.network.set_down(self.address, False)
         self.network.set_down(self.mqtt.address, False)
-        window = self.dedup.window
+        self.dedup = RecordDeduper(window=self.dedup.window)
         if self.durability is not None:
             store, dedup_ids = self.durability.recover()
             self.database = ServerDatabase(store=store)
-            self.dedup = RecordDeduper(window=window)
             for record_id in dedup_ids:
                 self.dedup.remember(record_id)
             self.durability.finish_recovery()
         else:
             self.database = ServerDatabase()
-            self.dedup = RecordDeduper(window=window)
         if self.obs is not None:
             self.obs.telemetry.counter("server_restarts").inc()
         self._update_dedup_metrics()
@@ -736,6 +735,7 @@ class ServerSenSocialManager(ApplicationPlane, Endpoint):
                 "crashes": self.crashes,
                 "restarts": self.restarts,
                 "actions_lost_crashed": self.actions_lost_crashed,
+                "publishes_held": self.mqtt.publishes_held,
             },
             **extras,
         )

@@ -64,21 +64,23 @@ class TriggerManager:
     def push_config(self, config: StreamConfig) -> None:
         """Notify the device to download/merge a stream definition."""
         self.configs_pushed += 1
-        self._client.publish(device_config_topic(config.device_id),
-                             config.to_xml(), qos=1)
+        self._client.publish_or_hold(device_config_topic(config.device_id),
+                                     config.to_xml(), qos=1)
 
     def push_rate(self, device_id: str, factor: float,
                   reason: str = "") -> None:
         """Push a sensing-rate backoff/restore (SLO control loop)."""
         self.rates_pushed += 1
-        self._client.publish(device_rate_topic(device_id),
-                             json.dumps({"factor": factor,
-                                         "reason": reason}), qos=1)
+        self._client.publish_or_hold(device_rate_topic(device_id),
+                                     json.dumps({"factor": factor,
+                                                 "reason": reason}), qos=1)
 
     def push_destroy(self, device_id: str, stream_id: str) -> None:
-        self._client.publish(device_destroy_topic(device_id),
-                             json.dumps({"stream_id": stream_id}), qos=1)
+        self._client.publish_or_hold(device_destroy_topic(device_id),
+                                     json.dumps({"stream_id": stream_id}), qos=1)
 
     def _publish(self, topic: str, payload: str) -> None:
         self.triggers_sent += 1
-        self._client.publish(topic, payload, qos=1)
+        # An OSN action can arrive during any outage of the server's
+        # MQTT session; the client holds the trigger until it is back.
+        self._client.publish_or_hold(topic, payload, qos=1)

@@ -61,13 +61,21 @@ class HashIndex:
         value = get_path(document, self.path)
         if value is MISSING:
             return
+        if not isinstance(value, (list, dict)):
+            # A scalar is its own key: ``_freeze`` would return it.
+            if self.unique:
+                self._claim(value, value, doc_id)
+            bucket = self._buckets.get(value)
+            if bucket is None:
+                self._buckets[value] = {doc_id}
+            else:
+                bucket.add(doc_id)
+            self._frozen.pop(value, None)
+            self._doc_keys[doc_id] = (value,)
+            return
         primary = _freeze(value)
         if self.unique:
-            owner = self._primary_owner.get(primary)
-            if owner is not None and owner != doc_id:
-                raise DuplicateKeyError(
-                    f"duplicate value {value!r} for unique index on {self.path!r}")
-            self._primary_owner[primary] = doc_id
+            self._claim(primary, value, doc_id)
         keys = [primary]
         if isinstance(value, list):
             keys.extend(_freeze(element) for element in value)
@@ -75,6 +83,13 @@ class HashIndex:
             self._buckets.setdefault(key, set()).add(doc_id)
             self._frozen.pop(key, None)
         self._doc_keys[doc_id] = tuple(keys)
+
+    def _claim(self, primary: Hashable, value: Any, doc_id: int) -> None:
+        owner = self._primary_owner.get(primary)
+        if owner is not None and owner != doc_id:
+            raise DuplicateKeyError(
+                f"duplicate value {value!r} for unique index on {self.path!r}")
+        self._primary_owner[primary] = doc_id
 
     def remove(self, doc_id: int) -> None:
         keys = self._doc_keys.pop(doc_id, None)

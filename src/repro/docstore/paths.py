@@ -15,6 +15,8 @@ MISSING = object()
 
 def get_path(document: Any, path: str) -> Any:
     """Resolve ``path`` inside ``document``; ``MISSING`` if absent."""
+    if "." not in path and isinstance(document, dict):
+        return document.get(path, MISSING)
     current = document
     for segment in path.split("."):
         if isinstance(current, dict):

@@ -122,6 +122,8 @@ def encode_value(value: Any, out: bytearray) -> None:
     elif type(value) is dict:
         out += b"d"
         out += _U32.pack(len(value))
+        # Stored documents are flat records: keys are strings and most
+        # items strings, floats or None, so those are inlined too.
         for key, item in value.items():
             if type(key) is str:
                 body = key.encode("utf-8")
@@ -130,7 +132,19 @@ def encode_value(value: Any, out: bytearray) -> None:
                 out += body
             else:
                 encode_value(key, out)
-            encode_value(item, out)
+            cls = type(item)
+            if cls is str:
+                body = item.encode("utf-8")
+                out += b"s"
+                out += _U32.pack(len(body))
+                out += body
+            elif cls is float:
+                out += b"f"
+                out += _F64.pack(item)
+            elif item is None:
+                out += b"N"
+            else:
+                encode_value(item, out)
     elif type(value) is Encoded:
         for part in value:
             out += part

@@ -96,6 +96,11 @@ class MqttClient(Endpoint):
         self._will_payload: Any = None
         self.publishes_sent = 0
         self.publishes_received = 0
+        #: ``(topic, payload, qos)`` of :meth:`publish_or_hold`
+        #: calls made while the session was down, in order.
+        self._held: list[tuple[str, Any, int]] = []
+        #: Publishes ever held for a reconnect.
+        self.publishes_deferred = 0
         #: Resilience counters, surfaced through :meth:`health`.
         self.connection_losses = 0
         self.reconnects = 0
@@ -245,6 +250,32 @@ class MqttClient(Endpoint):
                 self.RETRY_INTERVAL, self._retry, packet.packet_id)
         self._network.send(self.address, self.broker_address, packet)
 
+    def publish_or_hold(self, topic: str, payload: Any,
+                        qos: int = 0) -> None:
+        """:meth:`publish`, or hold the message while the session is down.
+
+        For a publisher whose messages follow events that can fall in
+        any outage, such as the server's trigger manager, where
+        :meth:`publish` would raise.  Held messages are published in
+        order on the reconnect edge, before the connection callbacks
+        run; :meth:`discard_held` drops them.
+        """
+        if self.connected:
+            self.publish(topic, payload, qos=qos)
+            return
+        validate_topic(topic)
+        self.publishes_deferred += 1
+        self._held.append((topic, payload, qos))
+
+    @property
+    def publishes_held(self) -> int:
+        """Messages waiting in :meth:`publish_or_hold`'s hold."""
+        return len(self._held)
+
+    def discard_held(self) -> None:
+        """Drop every held message: its publisher's process died."""
+        self._held.clear()
+
     def publish_batch(self, topic: str, payloads, qos: int = 0,
                       retain: bool = False,
                       on_ack: Callable[[], None] | None = None) -> None:
@@ -361,6 +392,9 @@ class MqttClient(Endpoint):
             self._network.send(self.address, self.broker_address, pending.packet)
             pending.timer = self._world.scheduler.schedule(
                 self.RETRY_INTERVAL, self._retry, packet_id)
+        held, self._held = self._held, []
+        for topic, payload, qos in held:
+            self.publish(topic, payload, qos=qos)
         self._notify_connection(True)
 
     def _cancel_reconnect(self) -> None:

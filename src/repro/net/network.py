@@ -55,6 +55,7 @@ class Network:
 
     def __init__(self, world: World, default_latency: LatencyModel | None = None):
         self._world = world
+        self._scheduler = world.scheduler
         self._rng = world.rng("network")
         self._fault_rng = world.rng("net-faults")
         self._endpoints: dict[str, Endpoint] = {}
@@ -231,31 +232,38 @@ class Network:
         probabilistic loss batching guarantees exactly-once, not
         bit-identity.
         """
-        if dst not in self._endpoints:
+        endpoints = self._endpoints
+        if dst not in endpoints:
             raise UnknownEndpointError(f"unknown destination {dst!r}")
-        message = Message(
-            src=src,
-            dst=dst,
-            payload=payload,
-            size=size if size is not None else estimate_size(payload),
-            sent_at=self._world.now,
-            headers=dict(headers or {}),
-        )
+        scheduler = self._scheduler
+        now = scheduler.now
+        if size is None:
+            size = estimate_size(payload)
+        message = Message(src, dst, payload, size, now,
+                          dict(headers) if headers else {})
         self.messages_sent += 1
-        self.bytes_sent += message.size
+        self.bytes_sent += size
 
-        sender = self._endpoints.get(src)
+        sender = endpoints.get(src)
         if sender is not None and sender.radio is not None:
-            sender.radio.account_tx(message.size)
+            sender.radio.account_tx(size)
 
-        if dst in self._down or src in self._down:
-            self._account_drop(message, dst if dst in self._down else src,
+        down = self._down
+        if down and (dst in down or src in down):
+            self._account_drop(message, dst if dst in down else src,
                                partition=True)
             return message  # dropped by the partition; QoS layers retry
 
-        loss = self._loss_for(src, dst)
-        latency_model = self._latency_for(src, dst)
-        jitter = self._jitter_for(src, dst)
+        # The override tables are read only once a fault or a test has
+        # configured one; an unconfigured network uses the defaults.
+        loss = (self._loss_for(src, dst)
+                if self._link_loss or self._endpoint_loss
+                else self.default_loss)
+        latency_model = (self._latency_for(src, dst)
+                         if self._link_latency or self._endpoint_latency
+                         else self.default_latency)
+        jitter = (self._jitter_for(src, dst)
+                  if self._link_jitter or self._endpoint_jitter else None)
         latency = 0.0
         for _ in range(coalesced):
             if loss > 0.0 and self._fault_rng.random() < loss:
@@ -267,13 +275,17 @@ class Network:
             # FIFO within the envelope: the slowest member gates it, the
             # same arrival the per-link clamp below would give the Nth
             # of N singleton sends.
-            latency = max(latency, sample)
+            if sample > latency:
+                latency = sample
         # Per-link FIFO: messages between the same pair ride one TCP
         # connection and never overtake each other.
-        delivery_at = max(self._world.now + latency,
-                          self._last_delivery.get((src, dst), 0.0))
-        self._last_delivery[(src, dst)] = delivery_at
-        self._world.scheduler.schedule_at(delivery_at, self._deliver, message)
+        link = (src, dst)
+        delivery_at = now + latency
+        last = self._last_delivery.get(link, 0.0)
+        if last > delivery_at:
+            delivery_at = last
+        self._last_delivery[link] = delivery_at
+        scheduler.schedule_at(delivery_at, self._deliver, message)
         return message
 
     def _latency_for(self, src: str, dst: str) -> LatencyModel:
@@ -302,13 +314,14 @@ class Network:
         return self._endpoint_jitter.get(dst)
 
     def _deliver(self, message: Message) -> None:
-        endpoint = self._endpoints.get(message.dst)
-        if endpoint is None or message.dst in self._down:
+        dst = message.dst
+        endpoint = self._endpoints.get(dst)
+        if endpoint is None or dst in self._down:
             # Endpoint vanished or went down while the message was in
             # flight; account it like any other partition drop.
-            self._account_drop(message, message.dst, partition=True)
+            self._account_drop(message, dst, partition=True)
             return
-        message.delivered_at = self._world.now
+        message.delivered_at = self._scheduler.now
         self.messages_delivered += 1
         if endpoint.radio is not None:
             endpoint.radio.account_rx(message.size)

@@ -15,6 +15,7 @@ first and poison the clock.
 from __future__ import annotations
 
 import heapq
+import math
 from typing import Any, Callable
 
 from repro.simkit.errors import SchedulingError
@@ -82,14 +83,26 @@ class EventQueue:
         handle.queue = self
         heapq.heappush(self._heap, (handle.time, handle.seq, handle))
 
-    def pop(self) -> EventHandle | None:
-        """Remove and return the minimum live handle, or ``None``."""
-        self._drop_cancelled()
-        if not self._heap:
-            return None
-        handle = heapq.heappop(self._heap)[2]
-        handle.queue = None
-        return handle
+    def pop(self, until: float = math.inf) -> EventHandle | None:
+        """Remove and return the minimum live handle due by ``until``.
+
+        Cancelled entries at the top are dropped on the way.  Returns
+        ``None`` when no live handle is left or the next one falls
+        after ``until``; that one stays queued."""
+        heap = self._heap
+        while heap:
+            time, _seq, handle = heap[0]
+            if handle.cancelled:
+                heapq.heappop(heap)
+                handle.queue = None
+                self._cancelled -= 1
+            elif time > until:
+                return None
+            else:
+                heapq.heappop(heap)
+                handle.queue = None
+                return handle
+        return None
 
     def peek(self) -> EventHandle | None:
         """The minimum live handle without removing it, or ``None``."""
@@ -235,11 +248,14 @@ class Scheduler:
         if not time >= self._now:
             raise SchedulingError(
                 f"cannot run to t={time:.6f}, clock already at {self._now:.6f}")
+        pop = self._queue.pop
         while True:
-            next_time = self.peek_time()
-            if next_time is None or next_time > time:
+            handle = pop(time)
+            if handle is None:
                 break
-            self.step()
+            self._now = handle.time
+            self.events_processed += 1
+            handle.fn(*handle.args)
         self._now = time
 
     def run_for(self, duration: float) -> None:

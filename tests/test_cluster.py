@@ -210,9 +210,13 @@ class TestOneShardMatchesMonolith:
         """A volatile restart is amnesiac on both topologies: OSN
         triggers must not reach a device the restarted server forgot.
 
-        ``drive_social`` under a partition is left out: a trigger
-        published while the server's MQTT session is down raises
-        ``MqttProtocolError`` out of the run on both topologies.
+        ``drive_social`` under a partition is left out: the two
+        topologies do not reconnect at the same instant, because the
+        reconnect backoff's jitter stream is named after the MQTT
+        client id (``mqtt-reconnect-sensocial-server`` on the monolith,
+        ``mqtt-reconnect-sensocial-shard-0`` on the worker), so records
+        sensed on the deferred trigger carry timestamps about 0.33 s
+        apart.  ``test_trigger_during_partition_is_deferred`` runs it.
         """
         def run(shards):
             testbed = deploy(shards=shards, durability=durability,
@@ -232,6 +236,39 @@ class TestOneShardMatchesMonolith:
         mono = run(None)
         assert mono[2] > 0  # the fault dropped traffic
         assert run(1) == mono
+
+    @pytest.mark.parametrize("durability", [True, False],
+                             ids=["durable", "volatile"])
+    @pytest.mark.parametrize("shards", [None, 1],
+                             ids=["monolith", "one-shard"])
+    def test_trigger_during_partition_is_deferred(self, shards, durability):
+        """A trigger due while the server's MQTT session is down is held
+        and published once, on the reconnect edge, instead of raising
+        ``MqttProtocolError`` out of the run."""
+        testbed = deploy(shards=shards, durability=durability, users=[])
+        faults = FaultPlan("partition")
+        faults.partition("server", 200.0, 100.0)
+        ChaosController(testbed).apply(faults)
+        [worker] = testbed.server.shard_workers()
+        client = worker.mqtt
+        publishes = []
+        publish = client.publish
+
+        def spy(topic, payload, *args, **kwargs):
+            publishes.append((testbed.world.now, topic, payload))
+            return publish(topic, payload, *args, **kwargs)
+
+        client.publish = spy
+        result = drive_social(testbed)
+        assert result["actions"] and result["records"]
+        assert testbed.server.health()["counters"]["publishes_held"] == 0
+        assert client.publishes_deferred == 1
+        assert client.reconnects == 1
+        [(_, topic, payload)] = [
+            entry for entry in publishes
+            if entry[0] == client.last_reconnected_at]
+        assert topic.endswith("/trigger")
+        assert [entry[2] for entry in publishes].count(payload) == 1
 
     def test_one_shard_cluster_fronts_its_worker(self):
         testbed = deploy(shards=1, users=["alice"])

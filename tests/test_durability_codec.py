@@ -1,10 +1,12 @@
 """Durable wire-format tests: canonical value round-trips, frame
 classification, and fingerprint behaviour."""
 
+import struct
 import zlib
 from hashlib import blake2b
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.durability import codec
 from repro.durability.errors import CodecError
@@ -43,7 +45,87 @@ ROUND_TRIP_VALUES = [
 ]
 
 
+def _reference_encode(value, out):
+    """The canonical encoding, one recursive call per container item."""
+    if value is None:
+        out += b"N"
+    elif value is True:
+        out += b"T"
+    elif value is False:
+        out += b"F"
+    elif type(value) is int:
+        body = value.to_bytes((value.bit_length() + 8) // 8 or 1,
+                              "big", signed=True)
+        out += b"I" + struct.pack(">I", len(body)) + body
+    elif type(value) is float:
+        out += b"f" + struct.pack(">d", value)
+    elif type(value) is str:
+        body = value.encode("utf-8")
+        out += b"s" + struct.pack(">I", len(body)) + body
+    elif type(value) is bytes:
+        out += b"b" + struct.pack(">I", len(value)) + value
+    elif type(value) in (list, tuple):
+        out += (b"l" if type(value) is list else b"t")
+        out += struct.pack(">I", len(value))
+        for item in value:
+            _reference_encode(item, out)
+    elif type(value) is dict:
+        out += b"d" + struct.pack(">I", len(value))
+        for key, item in value.items():
+            _reference_encode(key, out)
+            _reference_encode(item, out)
+    elif type(value) is codec.Encoded:
+        for part in value:
+            out += part
+    else:
+        raise CodecError(f"cannot durably encode {type(value).__name__}")
+
+
+def _split_encoding(value, cut):
+    """``value`` encoded once and spliced back in as two parts."""
+    blob = codec.dumps(value)
+    cut %= len(blob) + 1
+    return codec.Encoded((blob[:cut], blob[cut:]))
+
+
+_SCALARS = st.one_of(
+    st.sampled_from(ROUND_TRIP_VALUES),
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=2 ** 64, max_value=2 ** 200),
+    st.floats(),
+    st.text(max_size=12),
+    st.binary(max_size=8),
+)
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.one_of(st.text(max_size=8), st.integers()),
+                        children, max_size=4),
+    ),
+    max_leaves=16)
+#: Stored-document shapes: string keys over every kind of item the
+#: encoder inlines or recurses into, spliced encodings included.
+_DOCUMENTS = st.dictionaries(
+    st.text(max_size=8),
+    st.one_of(st.text(max_size=12), st.floats(), st.none(), st.booleans(),
+              st.integers(), _VALUES,
+              st.builds(_split_encoding, _VALUES, st.integers(0, 64))),
+    max_size=8)
+
+
 class TestValueCodec:
+    @given(st.one_of(_VALUES, _DOCUMENTS, st.lists(_DOCUMENTS, max_size=3)))
+    def test_encoding_equals_the_recursive_reference(self, value):
+        """Inlined items encode to the bytes the plain recursive
+        encoder gives, so every fingerprint stays put."""
+        reference = bytearray()
+        _reference_encode(value, reference)
+        assert codec.dumps(value) == bytes(reference)
+
     @pytest.mark.parametrize("value", ROUND_TRIP_VALUES,
                              ids=[repr(v)[:40] for v in ROUND_TRIP_VALUES])
     def test_round_trip_exact(self, value):

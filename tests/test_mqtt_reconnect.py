@@ -56,6 +56,52 @@ class TestWatchdog:
         assert client.reconnects == 0
 
 
+class TestPublishOrHold:
+    def test_held_publishes_go_out_in_order_on_reconnect(self, stack):
+        world, network, broker = stack
+        client = make_client(world, network, "c")
+        watcher = make_client(world, network, "w")
+        client.connect()
+        watcher.connect()
+        inbox = []
+        watcher.subscribe("t/#", lambda topic, payload: inbox.append(
+            (topic, payload, world.now)))
+        world.run_for(1.0)
+        network.set_down("host/c")
+        world.run_for(45.0)
+        assert not client.connected
+        for index in range(3):
+            client.publish_or_hold(f"t/{index}", index, qos=1)
+        assert client.publishes_held == 3
+        network.set_down("host/c", False)
+        world.run_for(60.0)
+        assert client.reconnects == 1
+        assert client.publishes_held == 0
+        assert client.publishes_deferred == 3
+        assert [(topic, payload) for topic, payload, _ in inbox] == [
+            ("t/0", 0), ("t/1", 1), ("t/2", 2)]
+        assert all(at >= client.last_reconnected_at for *_, at in inbox)
+
+    def test_connected_client_publishes_at_once(self, stack):
+        world, network, broker = stack
+        client = make_client(world, network, "c")
+        client.connect()
+        client.publish_or_hold("t", 1, qos=1)
+        assert client.publishes_held == 0
+        assert client.publishes_sent == 1
+
+    def test_discarded_publishes_never_go_out(self, stack):
+        world, network, broker = stack
+        client = make_client(world, network, "c")
+        client.publish_or_hold("t", 1)
+        client.discard_held()
+        client.connect()
+        client._connection_lost()
+        world.run_for(60.0)
+        assert client.reconnects == 1
+        assert client.publishes_sent == 0
+
+
 class TestReconnect:
     def test_reconnects_after_partition(self, stack):
         world, network, broker = stack

@@ -1,7 +1,10 @@
 """Unit tests for the network substrate."""
 
 import pytest
+from hypothesis import given, strategies as st
 
+from repro.core.common import ModalityType
+from repro.mqtt import packets
 from repro.net import (
     DuplicateEndpointError,
     FixedLatency,
@@ -17,6 +20,58 @@ from repro.simkit import World
 def make_network(seed=1, latency=None):
     world = World(seed=seed)
     return world, Network(world, default_latency=latency or FixedLatency(0.1))
+
+
+def _reference_size(payload):
+    """The plain recursive estimate: one ``isinstance`` chain per value."""
+    if payload is None:
+        return 4
+    if isinstance(payload, bool):
+        return 5
+    if isinstance(payload, (int, float)):
+        return len(repr(payload))
+    if isinstance(payload, str):
+        return len(payload.encode("utf-8")) + 2
+    if isinstance(payload, bytes):
+        return len(payload)
+    if isinstance(payload, dict):
+        return 2 + sum(_reference_size(k) + _reference_size(v) + 2
+                       for k, v in payload.items())
+    if isinstance(payload, (list, tuple, set, frozenset)):
+        return 2 + sum(_reference_size(item) + 1 for item in payload)
+    return len(repr(payload))
+
+
+_KEYS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=2 ** 64, max_value=2 ** 200),
+    st.floats(),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0]),
+    st.text(max_size=12),
+    st.text(st.characters(max_codepoint=127), max_size=12),
+    st.binary(max_size=8),
+    st.sampled_from(list(ModalityType)),
+)
+_PACKETS = st.one_of(
+    st.builds(packets.Publish, topic=st.text(max_size=12),
+              payload=_KEYS, qos=st.sampled_from([0, 1])),
+    st.builds(packets.PubAck, st.integers(0, 2 ** 16)),
+    st.builds(packets.Connect, client_id=st.text(max_size=8)),
+    st.just(packets.PingReq()),
+)
+_SIZED_VALUES = st.recursive(
+    st.one_of(_KEYS, _PACKETS),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.sets(_KEYS, max_size=4),
+        st.frozensets(_KEYS, max_size=4),
+        st.dictionaries(_KEYS, children, max_size=4),
+        st.dictionaries(st.text(max_size=8), children, max_size=6),
+    ),
+    max_leaves=24)
 
 
 class TestLatencyModels:
@@ -68,6 +123,16 @@ class TestSizeEstimation:
 
     def test_bytes_size_is_length(self):
         assert estimate_size(b"12345") == 5
+
+    @given(st.one_of(st.text(), st.text(st.characters(max_codepoint=127))))
+    def test_string_size_is_utf8_length(self, text):
+        assert estimate_size(text) == len(text.encode("utf-8")) + 2
+
+    @given(_SIZED_VALUES)
+    def test_size_equals_the_recursive_reference(self, value):
+        """Every wire size, and so every radio charge and byte counter,
+        is what the plain recursive estimate gives."""
+        assert estimate_size(value) == _reference_size(value)
 
 
 class TestDelivery:

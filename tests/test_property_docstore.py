@@ -149,22 +149,69 @@ class TestCollectionProperties:
         },
     )
 
+    # The indexed-vs-scan property also covers a dotted path (``n.x``),
+    # dict-valued fields, a unique index (``k``) and writes after the
+    # inserts, whose removals read back the keys ``add`` filed.
+    indexed_documents = st.fixed_dictionaries(
+        {},
+        optional={
+            "v": st.one_of(small_values,
+                           st.lists(st.integers(min_value=0, max_value=3),
+                                    max_size=3),
+                           st.fixed_dictionaries({"x": small_values})),
+            "w": small_values,
+            "n": st.fixed_dictionaries({}, optional={"x": small_values}),
+        },
+    )
+    indexed_queries = st.one_of(
+        query_shapes,
+        st.builds(lambda v: {"n.x": v}, small_values),
+        st.builds(lambda items: {"n.x": {"$in": items}},
+                  st.lists(small_values, max_size=3)),
+        st.builds(lambda v: {"v": {"x": v}}, small_values),
+    )
+    writes = st.lists(st.one_of(
+        st.builds(lambda query, v: ("update_one", query, {"$set": {"v": v}}),
+                  indexed_queries, small_values),
+        st.builds(lambda query, v: ("update_one", query,
+                                    {"$set": {"n.x": v}}),
+                  indexed_queries, small_values),
+        st.builds(lambda query: ("delete_one", query), indexed_queries),
+    ), max_size=4)
+
     @settings(max_examples=120)
-    @given(st.lists(small_documents, max_size=15), query_shapes)
-    def test_indexed_unindexed_same_results_and_order(self, documents, query):
+    @given(st.lists(indexed_documents, max_size=15), writes, indexed_queries)
+    def test_indexed_unindexed_same_results_and_order(self, documents,
+                                                      writes, query):
         """The planner must be invisible: any query over any data set
         returns identical documents in identical order with and without
         indexes on the queried paths."""
+        documents = [dict(document, k=position)
+                     for position, document in enumerate(documents)]
         plain = DocumentStore()["plain"]
         indexed = DocumentStore()["indexed"]
         plain.insert_many(documents)
         indexed.create_index("v")
         indexed.create_index("w")
+        indexed.create_index("n.x")
+        indexed.create_index("k", unique=True)
         indexed.insert_many(documents)
+        for operation, *arguments in writes:
+            assert (getattr(plain, operation)(*arguments)
+                    == getattr(indexed, operation)(*arguments))
+        # A deleted document's unique key is free again only if its
+        # removal found every key its insert filed.
+        for position in range(len(documents)):
+            if not plain.count({"k": position}):
+                plain.insert_one({"k": position})
+                indexed.insert_one({"k": position})
         # Auto-assigned ids make sorted(ids) == insertion order, so the
         # full result lists — order included — must be equal.
         assert plain.find(query).to_list() == indexed.find(query).to_list()
         assert plain.count(query) == indexed.count(query)
+        for position in range(len(documents)):
+            assert (plain.find({"k": position}).to_list()
+                    == indexed.find({"k": position}).to_list())
 
     @settings(max_examples=60)
     @given(st.lists(small_documents, max_size=12), query_shapes)

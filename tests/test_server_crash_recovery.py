@@ -134,6 +134,22 @@ class TestCrashWhileDown:
         testbed.run(120.0)  # MQTT keepalive/reconnect settles
         assert testbed.server.health()["status"] != "down"
 
+    def test_crash_discards_held_publishes(self):
+        testbed = SenSocialTestbed(seed=9)
+        testbed.add_user("alice", "Paris")
+        testbed.run(10.0)
+        server = testbed.server
+        server.mqtt._connection_lost()
+        server.triggers.push_destroy(server.device_of("alice"), "s1")
+        assert server.health()["counters"]["publishes_held"] == 1
+        server.crash()
+        assert server.health()["counters"]["publishes_held"] == 0
+        assert server.mqtt.publishes_deferred == 1
+        server.restart()
+        testbed.run(120.0)  # the session comes back with nothing held
+        assert server.mqtt.reconnects == 1
+        assert server.mqtt.publishes_held == 0
+
     def test_crash_and_restart_are_idempotent(self):
         testbed = SenSocialTestbed(seed=9, durability=True)
         testbed.server.crash()

@@ -75,6 +75,67 @@ class TestScheduling:
         scheduler.run_until(10.0)
         assert fired == [True]
 
+    def test_run_until_fires_an_event_at_exactly_until(self):
+        scheduler = Scheduler()
+        fired = []
+        scheduler.schedule_at(10.0, fired.append, "at")
+        scheduler.schedule_at(10.000001, fired.append, "after")
+        scheduler.run_until(10.0)
+        assert fired == ["at"]
+        assert scheduler.now == 10.0
+        assert scheduler.pending_count() == 1
+        assert scheduler.peek_time() == 10.000001
+
+    def test_run_until_drops_cancelled_heads_before_a_later_event(self):
+        scheduler = Scheduler()
+        fired = []
+        doomed = [scheduler.schedule_at(float(t), fired.append, t)
+                  for t in (1, 2, 3)]
+        scheduler.schedule_at(20.0, fired.append, 20)
+        for handle in doomed:
+            handle.cancel()
+        assert scheduler.pending_count() == 1
+        scheduler.run_until(10.0)
+        assert fired == []
+        # The cancelled heads are gone; the live event stays queued.
+        assert len(scheduler.queue._heap) == 1
+        assert scheduler.pending_count() == 1
+        scheduler.run_until(20.0)
+        assert fired == [20]
+        assert scheduler.pending_count() == 0
+
+    def test_compaction_inside_run_until_fires_live_events_once(self):
+        scheduler = Scheduler()
+        queue = scheduler.queue
+        fired = []
+        victims = []
+
+        def cancel_most():
+            # Cancelling every victim makes the dead entries a majority
+            # of a queue past COMPACT_MIN, so the heap is rebuilt while
+            # run_until is between two pops.
+            for handle in victims:
+                handle.cancel()
+            scheduler.schedule_at(2.5, fired.append, (2.5, "late"))
+
+        scheduler.schedule_at(1.0, cancel_most)
+        live = [(float(2 + index % 5), index) for index in range(40)]
+        for at, index in live:
+            scheduler.schedule_at(at, fired.append, (at, index))
+        # Victims interleave with the live events, so the sweep leaves
+        # holes all through the heap.
+        victims.extend(scheduler.schedule_at(1.5 + (index * 37) % 97 / 10,
+                                             fired.append, ("victim", index))
+                       for index in range(3 * queue.COMPACT_MIN))
+        scheduler.run_until(100.0)
+        assert queue.compactions >= 1
+        # Ties fire in scheduling order: (time, seq) order is the order
+        # the live events were scheduled within each instant.
+        expected = sorted(live + [(2.5, "late")], key=lambda entry: entry[0])
+        assert fired == expected
+        assert scheduler.pending_count() == 0
+        assert scheduler.events_processed == 1 + len(expected)
+
     def test_run_until_backwards_rejected(self):
         scheduler = Scheduler()
         scheduler.run_until(10.0)
