@@ -99,31 +99,24 @@ class TestShardScaling:
 
 class TestElasticity:
     def test_snapshot_bootstrap_beats_replay(self, benchmark, report):
-        """ISSUE 6 acceptance: a mid-run scale-out with snapshot
-        bootstrap does measurably less durability work than retained
-        replay — zero journal appends and a single checkpoint instead
-        of one append per migrated document — on deterministic
-        counters, with both strategies losing nothing."""
+        """A mid-run scale-out bulk-imports the migrated slice with
+        zero journal appends and a single checkpoint, instead of one
+        append per migrated document, on deterministic counters, losing
+        nothing."""
         result = run_once(benchmark, lambda: bench_elasticity(
             users=USERS, sim_minutes=SIM_MINUTES))
-        rows = [[run["strategy"], run["moved_devices"], run["documents"],
-                 run["journal_appends"], run["checkpoints"],
-                 run["records_lost"]]
-                for run in (result["snapshot"], result["replay"])]
         report("cluster elasticity — scale-out bootstrap cost",
-               ["strategy", "moved devices", "documents",
-                "journal appends", "checkpoints", "records lost"], rows)
-        snapshot, replay = result["snapshot"], result["replay"]
-        # Determinism: both runs migrate the exact same slice.
-        assert snapshot["moved_devices"] == replay["moved_devices"] > 0
-        assert snapshot["documents"] == replay["documents"] > 0
-        # Snapshot skips the journal entirely; replay pays per document.
-        assert snapshot["journal_appends"] == 0
-        assert snapshot["checkpoints"] == 1
-        assert replay["journal_appends"] == replay["documents"]
-        assert result["appends_saved"] == replay["documents"]
-        # Neither path loses acked records or drifts the ring.
-        for run in (snapshot, replay):
-            assert run["records_lost"] == 0
-            assert run["consistency_problems"] == 0
-            assert run["records_ingested"] > 0
+               ["moved devices", "documents", "journal appends",
+                "checkpoints", "records lost"],
+               [[result["moved_devices"], result["documents"],
+                 result["journal_appends"], result["checkpoints"],
+                 result["records_lost"]]])
+        assert result["moved_devices"] > 0
+        assert result["documents"] > 0
+        # The bootstrap skips the journal: one checkpoint, no appends.
+        assert result["journal_appends"] == 0
+        assert result["checkpoints"] == 1
+        # No acked record lost, no ring drift.
+        assert result["records_lost"] == 0
+        assert result["consistency_problems"] == 0
+        assert result["records_ingested"] > 0

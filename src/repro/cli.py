@@ -366,7 +366,7 @@ def _cluster(args) -> int:
         plan.shard_crash(at=horizon * 0.4, shard=args.crash_shard,
                          rebalance_after=args.rebalance_after)
     if args.add_shard_at is not None:
-        plan.shard_add(at=args.add_shard_at, strategy=args.add_strategy)
+        plan.shard_add(at=args.add_shard_at)
     if args.remove_shard is not None:
         plan.shard_drain(at=args.remove_shard_at, shard=args.remove_shard)
     if args.rolling_upgrade_at is not None:
@@ -587,10 +587,6 @@ def build_parser() -> argparse.ArgumentParser:
     cluster.add_argument("--add-shard-at", type=float, default=None,
                          metavar="T", help="scale out by one shard at "
                                            "T seconds into the run")
-    cluster.add_argument("--add-strategy", choices=["snapshot", "replay"],
-                         default="snapshot",
-                         help="bootstrap path for the joining shard's "
-                              "migrated documents")
     cluster.add_argument("--remove-shard", type=int, default=None,
                          metavar="N", help="drain and retire shard N")
     cluster.add_argument("--remove-shard-at", type=float, default=300.0,

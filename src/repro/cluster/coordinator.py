@@ -37,7 +37,7 @@ import itertools
 import time
 from typing import Callable
 
-from repro.cluster.database import ClusterDatabase, merge_status
+from repro.cluster.database import ClusterDatabase, merge_status, sum_counters
 from repro.cluster.ring import DEFAULT_VNODES, ConsistentHashRing
 from repro.cluster.worker import REGISTRATION_KEY_LEVEL, ShardWorker
 from repro.core.common.errors import MiddlewareError
@@ -62,14 +62,10 @@ class ClusterCoordinator(ApplicationPlane, Endpoint):
     def __init__(self, world: World, network: Network, shards: int = 1, *,
                  broker_address: str = "mqtt-broker",
                  address: str = "sensocial-server",
-                 processing_delay=None, durability=None,
-                 vnodes: int = DEFAULT_VNODES, durability_factory=None):
+                 processing_delay=None, vnodes: int = DEFAULT_VNODES,
+                 durability_factory=None):
         if shards < 1:
             raise MiddlewareError(f"a cluster needs >= 1 shard, got {shards}")
-        if durability is not None and len(durability) != shards:
-            raise MiddlewareError(
-                f"durability list has {len(durability)} entries "
-                f"for {shards} shards")
         super().__init__()
         self.world = world
         self.network = network
@@ -78,8 +74,8 @@ class ClusterCoordinator(ApplicationPlane, Endpoint):
         self._broker_address = broker_address
         self._processing_delay = processing_delay
         self._shard_address_base = address.rsplit('-', 1)[0]
-        #: Builds a fresh durability controller for each shard
-        #: :meth:`add_shard` spawns (``None`` on non-durable clusters).
+        #: Builds a fresh durability controller for every shard, initial
+        #: or joining (``None`` on non-durable clusters).
         self._durability_factory = durability_factory
         #: Shared cross-user filter context.
         self.filters = ServerFilterManager(world)
@@ -105,9 +101,7 @@ class ClusterCoordinator(ApplicationPlane, Endpoint):
         #: (set by :class:`repro.obs.control.SloControlPlane`).
         self.slo_control = None
         for index in range(shards):
-            self._spawn_worker(
-                f"shard-{index}",
-                None if durability is None else durability[index])
+            self._spawn_worker(f"shard-{index}")
         #: Monotonic shard-id allocator — retired ids are never reused,
         #: so journal state and broker sessions can't be inherited by
         #: an unrelated later shard.
@@ -276,51 +270,56 @@ class ClusterCoordinator(ApplicationPlane, Endpoint):
         records are never lost when durability is on: acked ⇒
         journaled ⇒ replayed here.
         """
-        dead = [self._shards[shard_id] for shard_id in self._order
-                if self._shards[shard_id].crashed
-                and not self._shards[shard_id].retired]
+        dead = [shard for shard in self.shard_workers() if shard.crashed]
         if not dead:
             return {"retired": [], "migrated": {}}
         if len(dead) == len(self.shard_workers()):
             raise MiddlewareError("cannot rebalance: no live shard left")
         timings: dict[str, float] = {}
-        step = time.perf_counter()
-        dead_ids = {shard.shard_id for shard in dead}
-        moved_devices = [device for device in
-                         sorted(set(self._user_device.values()))
-                         if self.ring.owner(device) in dead_ids]
-        for shard in dead:
-            self.ring.remove(shard.shard_id)
-            shard.retire()
-        timings["retire"] = time.perf_counter() - step
-        step = time.perf_counter()
-        survivors = self.shard_workers()
-        for shard in survivors:
-            shard.update_partition(self._partition_for(shard.shard_id))
-        timings["resubscribe"] = time.perf_counter() - step
-        step = time.perf_counter()
-        migrated = {"users": 0, "records": 0, "actions": 0,
-                    "dedup_ids": 0, "streams": 0}
-        for shard in dead:
-            self._migrate_shard_state(shard, survivors, migrated)
-        timings["migrate"] = time.perf_counter() - step
+        moved, migrated = self._hand_off(dead, _recovered_state, timings)
         self.rebalances += 1
         if self.obs is not None:
             self.obs.telemetry.counter("cluster_rebalances").inc()
         entry = {"op": "rebalance", "at": self.world.now,
                  "retired": [shard.shard_id for shard in dead],
                  "migrated": migrated,
-                 "moved_devices": len(moved_devices),
+                 "moved_devices": len(moved),
                  "step_timings_s": timings}
         self.lifecycle_log.append(entry)
         return {"retired": entry["retired"], "migrated": migrated}
 
-    def _migrate_shard_state(self, dead: ShardWorker,
-                             survivors: list[ShardWorker],
-                             migrated: dict) -> None:
-        if dead.durability is not None:
-            store, dedup_ids = dead.durability.recover()
-            self._migrate_documents(ServerDatabase(store=store), migrated)
+    def _hand_off(self, leaving: list[ShardWorker],
+                  state_of: Callable[[ShardWorker], tuple],
+                  timings: dict) -> tuple[list[str], dict]:
+        """Retire ``leaving`` and move everything it held to the ring's
+        new owners — the one hand-off behind crash rebalance and
+        scale-in.
+
+        ``state_of(shard)`` says where a leaving shard's documents and
+        dedup ids come from: ``(database, dedup_ids)``, with ``None``
+        for a shard whose documents died with it.  Returns the devices
+        whose owner changed and the migrated counts.
+        """
+        step = time.perf_counter()
+        leaving_ids = {shard.shard_id for shard in leaving}
+        moved = [device for device in sorted(set(self._user_device.values()))
+                 if self.ring.owner(device) in leaving_ids]
+        for shard in leaving:
+            self.ring.remove(shard.shard_id)
+            shard.retire()
+        timings["retire"] = time.perf_counter() - step
+        step = time.perf_counter()
+        survivors = self.shard_workers()
+        for survivor in survivors:
+            survivor.update_partition(self._partition_for(survivor.shard_id))
+        timings["resubscribe"] = time.perf_counter() - step
+        step = time.perf_counter()
+        migrated = {"users": 0, "records": 0, "actions": 0,
+                    "dedup_ids": 0, "streams": 0}
+        for shard in leaving:
+            database, dedup_ids = state_of(shard)
+            if database is not None:
+                self._migrate_documents(database, migrated)
             # Over-approximate: any survivor may receive the
             # retransmission (the ring moved), so all of them must
             # recognise it as already acknowledged.  The merge is
@@ -330,7 +329,9 @@ class ClusterCoordinator(ApplicationPlane, Endpoint):
             for survivor in survivors:
                 survivor.dedup.merge_replicated(dedup_ids)
             migrated["dedup_ids"] += len(dedup_ids)
-        self._migrate_streams(dead, migrated)
+            self._migrate_streams(shard, migrated)
+        timings["migrate"] = time.perf_counter() - step
+        return moved, migrated
 
     def _migrate_documents(self, database: ServerDatabase,
                            migrated: dict) -> None:
@@ -352,15 +353,11 @@ class ClusterCoordinator(ApplicationPlane, Endpoint):
             migrated["users"] += 1
         for doc in list(database.records.find()):
             owner = self.shard_for_device(doc["device_id"])
-            owner.database.records.insert_one(
-                {key: value for key, value in doc.items()
-                 if key != "_id"})
+            owner.database.records.insert_one(_without_id(doc))
             migrated["records"] += 1
         for doc in list(database.actions.find()):
             owner = self.shard_for_user(doc["user_id"])
-            owner.database.actions.insert_one(
-                {key: value for key, value in doc.items()
-                 if key != "_id"})
+            owner.database.actions.insert_one(_without_id(doc))
             migrated["actions"] += 1
 
     def _migrate_streams(self, source: ShardWorker, migrated: dict,
@@ -383,15 +380,17 @@ class ClusterCoordinator(ApplicationPlane, Endpoint):
 
     # -- elastic lifecycle --------------------------------------------
 
-    def _spawn_worker(self, shard_id: str, durability) -> ShardWorker:
-        """Construct the worker for ``shard_id`` and wire it into the
-        coordinator's listener planes."""
+    def _spawn_worker(self, shard_id: str) -> ShardWorker:
+        """Construct the worker for ``shard_id``, with its own journal
+        when the cluster is durable, and wire it into the coordinator's
+        listener planes."""
         worker = ShardWorker(
             self.world, self.network, shard_id,
             broker_address=self._broker_address,
             address=f"{self._shard_address_base}-{shard_id}",
-            durability=durability, filters=self.filters,
-            stream_seq=self._stream_seq,
+            durability=(self._durability_factory()
+                        if self._durability_factory is not None else None),
+            filters=self.filters, stream_seq=self._stream_seq,
             processing_delay=self._processing_delay)
         self._shards[shard_id] = worker
         self._order.append(shard_id)
@@ -400,7 +399,7 @@ class ClusterCoordinator(ApplicationPlane, Endpoint):
             worker.register_listener(listener)
         return worker
 
-    def add_shard(self, *, strategy: str = "snapshot") -> dict:
+    def add_shard(self) -> dict:
         """Scale out: grow the ring by one freshly bootstrapped shard.
 
         Protocol (all on the scheduler's current instant — no window in
@@ -418,27 +417,15 @@ class ClusterCoordinator(ApplicationPlane, Endpoint):
            broker replays its slice's retained registrations; the old
            owners re-subscribe with narrowed slices.
 
-        ``strategy`` picks how a durable new shard loads the migrated
-        documents: ``"snapshot"`` bulk-imports under a suspended
-        journal and pays one checkpoint; ``"replay"`` journals every
-        document individually (the cost baseline —
-        ``benchmarks/test_cluster_scaling.py`` quantifies the gap).
+        A durable new shard loads the migrated documents through
+        :meth:`~repro.durability.ServerDurability.import_state`: a
+        bulk import under a suspended journal that pays one checkpoint
+        instead of one journal append per document.
         """
-        if strategy not in ("snapshot", "replay"):
-            raise MiddlewareError(
-                f"unknown bootstrap strategy {strategy!r} "
-                f"(expected 'snapshot' or 'replay')")
         timings: dict[str, float] = {}
         step = time.perf_counter()
         shard_id = f"shard-{next(self._shard_seq)}"
-        durability = None
-        if self._durability_factory is not None:
-            durability = self._durability_factory()
-        elif any(shard.durability is not None
-                 for shard in self.shard_workers()):
-            from repro.durability import ServerDurability
-            durability = ServerDurability(self.world)
-        worker = self._spawn_worker(shard_id, durability)
+        worker = self._spawn_worker(shard_id)
         timings["spawn"] = time.perf_counter() - step
         step = time.perf_counter()
         devices = sorted(set(self._user_device.values()))
@@ -451,8 +438,7 @@ class ClusterCoordinator(ApplicationPlane, Endpoint):
         step = time.perf_counter()
         migrated = {"users": 0, "records": 0, "actions": 0,
                     "dedup_ids": 0, "streams": 0}
-        bootstrap = self._bootstrap_new_shard(worker, moved, strategy,
-                                              migrated)
+        bootstrap = self._bootstrap_new_shard(worker, moved, migrated)
         timings["migrate"] = time.perf_counter() - step
         step = time.perf_counter()
         worker.start(partition=self._partition_for(shard_id))
@@ -464,18 +450,18 @@ class ClusterCoordinator(ApplicationPlane, Endpoint):
         if self.obs is not None:
             self.obs.telemetry.counter("cluster_scale_outs").inc()
         entry = {"op": "add_shard", "at": self.world.now,
-                 "shard": shard_id, "strategy": strategy,
-                 "moved_devices": len(moved), "migrated": migrated,
-                 "bootstrap": bootstrap, "step_timings_s": timings}
+                 "shard": shard_id, "moved_devices": len(moved),
+                 "migrated": migrated, "bootstrap": bootstrap,
+                 "step_timings_s": timings}
         self.lifecycle_log.append(entry)
         return entry
 
     def _bootstrap_new_shard(self, worker: ShardWorker, moved: list[str],
-                             strategy: str, migrated: dict) -> dict:
+                             migrated: dict) -> dict:
         """Move the ownership delta onto a joining shard and load it.
 
-        Dedup ids replicate *before* the document import so a snapshot
-        bootstrap's checkpoint persists the seeded window alongside the
+        Dedup ids replicate *before* the document import so the
+        import's checkpoint persists the seeded window alongside the
         store — a crash right after the import recovers both.
         """
         moved_set = set(moved)
@@ -509,27 +495,18 @@ class ClusterCoordinator(ApplicationPlane, Endpoint):
                     documents["actions"].extend(
                         source.database.actions.find(user_query))
                     source.database.actions.delete_many(user_query)
-        documents = {name: [{key: value for key, value in doc.items()
-                             if key != "_id"} for doc in docs]
-                     for name, docs in documents.items()}
-        total = sum(len(docs) for docs in documents.values())
-        if worker.durability is not None and strategy == "snapshot":
+        if worker.durability is not None:
             worker.durability.import_state(documents)
         else:
-            for doc in documents["users"]:
-                worker.database.users.insert_one(doc)
-            for doc in documents["records"]:
-                worker.database.records.insert_one(doc)
-            for doc in documents["actions"]:
-                worker.database.actions.insert_one(doc)
-        migrated["users"] += len(documents["users"])
-        migrated["records"] += len(documents["records"])
-        migrated["actions"] += len(documents["actions"])
+            for name, docs in documents.items():
+                worker.database.store[name].insert_many(map(_without_id, docs))
+        for name, docs in documents.items():
+            migrated[name] += len(docs)
         for source in sources:
             self._migrate_streams(source, migrated, devices=moved_set)
         work_after = worker.durability.bootstrap_work() \
             if worker.durability is not None else zeros
-        return {"strategy": strategy, "documents": total,
+        return {"documents": sum(len(docs) for docs in documents.values()),
                 "journal_appends": (work_after["journal_appends"]
                                     - work_before["journal_appends"]),
                 "checkpoints": (work_after["checkpoints"]
@@ -561,28 +538,7 @@ class ClusterCoordinator(ApplicationPlane, Endpoint):
         step = time.perf_counter()
         drained = shard.drain()
         timings["drain"] = time.perf_counter() - step
-        step = time.perf_counter()
-        devices = sorted(set(self._user_device.values()))
-        moved = [device for device in devices
-                 if self.ring.owner(device) == shard.shard_id]
-        self.ring.remove(shard.shard_id)
-        shard.retire(unsubscribe=True)
-        timings["retire"] = time.perf_counter() - step
-        step = time.perf_counter()
-        survivors = self.shard_workers()
-        for survivor in survivors:
-            survivor.update_partition(self._partition_for(survivor.shard_id))
-        timings["resubscribe"] = time.perf_counter() - step
-        step = time.perf_counter()
-        migrated = {"users": 0, "records": 0, "actions": 0,
-                    "dedup_ids": 0, "streams": 0}
-        self._migrate_documents(shard.database, migrated)
-        dedup_ids = shard.dedup.snapshot()
-        for survivor in survivors:
-            survivor.dedup.merge_replicated(dedup_ids)
-        migrated["dedup_ids"] += len(dedup_ids)
-        self._migrate_streams(shard, migrated)
-        timings["migrate"] = time.perf_counter() - step
+        moved, migrated = self._hand_off([shard], _live_state, timings)
         self.scale_ins += 1
         if self.obs is not None:
             self.obs.telemetry.counter("cluster_scale_ins").inc()
@@ -631,19 +587,22 @@ class ClusterCoordinator(ApplicationPlane, Endpoint):
     def rolling_restart(self) -> dict:
         """Upgrade every active shard in sequence, cluster serving
         throughout — at most one shard is mid-restart at any time."""
-        upgraded: list[str] = []
-        drained = 0
-        for index, shard_id in enumerate(self._order):
-            if self._shards[shard_id].retired:
-                continue
-            entry = self.upgrade_shard(index)
-            upgraded.append(shard_id)
-            drained += entry["drained"]
+        steps = [self.upgrade_shard(index)
+                 for index, shard in enumerate(self.all_shard_workers())
+                 if not shard.retired]
+        return self.finish_rolling_upgrade(steps)
+
+    def finish_rolling_upgrade(self, steps: list[dict]) -> dict:
+        """Account one completed rolling-upgrade sweep from its
+        :meth:`upgrade_shard` entries, however far apart they ran: the
+        ``cluster_rolling_upgrades`` counter and one ``rolling_restart``
+        summary in the lifecycle log."""
         self.rolling_upgrades += 1
         if self.obs is not None:
             self.obs.telemetry.counter("cluster_rolling_upgrades").inc()
         summary = {"op": "rolling_restart", "at": self.world.now,
-                   "shards": upgraded, "drained": drained}
+                   "shards": [step["shard"] for step in steps],
+                   "drained": sum(step["drained"] for step in steps)}
         self.lifecycle_log.append(summary)
         return summary
 
@@ -717,15 +676,14 @@ class ClusterCoordinator(ApplicationPlane, Endpoint):
                 "recommend_add_shard": bool(hot) and skew >= threshold}
 
     def maybe_autoscale(self, threshold: float = 1.5,
-                        max_shards: int = 8,
-                        strategy: str = "snapshot") -> dict:
+                        max_shards: int = 8) -> dict:
         """Telemetry-driven elasticity: scale out when a shard runs hot
         (and the cluster is still below ``max_shards``)."""
         advice = self.elasticity_advice(threshold)
         advice["scaled"] = False
         if (advice["recommend_add_shard"]
                 and len(self.shard_workers()) < max_shards):
-            advice["added"] = self.add_shard(strategy=strategy)
+            advice["added"] = self.add_shard()
             advice["scaled"] = True
         return advice
 
@@ -818,11 +776,7 @@ class ClusterCoordinator(ApplicationPlane, Endpoint):
         """
         shard_docs = {shard.shard_id: shard.health()
                       for shard in self.all_shard_workers()}
-        counters: dict[str, float] = {}
-        for doc in shard_docs.values():
-            for key, value in doc["counters"].items():
-                if isinstance(value, (int, float)):
-                    counters[key] = counters.get(key, 0) + value
+        counters = sum_counters(shard_docs.values())
         # Uplinks address the public ingress, so drops there are the
         # cluster's, as they are the monolith's at the same address.
         counters["net_drops"] += self.network.drop_count(self.address)
@@ -859,15 +813,10 @@ class ClusterCoordinator(ApplicationPlane, Endpoint):
     def _durability_health(self, durable: list[ShardWorker]) -> dict:
         docs = {shard.shard_id: shard.durability.health()
                 for shard in durable}
-        counters: dict[str, float] = {}
-        for doc in docs.values():
-            for key, value in doc["counters"].items():
-                if isinstance(value, (int, float)):
-                    counters[key] = counters.get(key, 0) + value
         return Healthcheck.build(
             status=merge_status(doc["status"] for doc in docs.values()),
             detail=f"cluster durability over {len(docs)} shards",
-            counters=counters, shards=docs)
+            counters=sum_counters(docs.values()), shards=docs)
 
     def verify_replay(self) -> dict:
         """Per-shard replay divergence oracle.
@@ -938,3 +887,25 @@ class ClusterCoordinator(ApplicationPlane, Endpoint):
             "slo": (self.slo_control.summary()
                     if self.slo_control is not None else None),
         }
+
+
+def _without_id(doc: dict) -> dict:
+    """``doc`` without its store-assigned ``_id``, ready to insert
+    into another shard's store."""
+    return {key: value for key, value in doc.items() if key != "_id"}
+
+
+def _recovered_state(shard: ShardWorker) -> tuple[ServerDatabase | None,
+                                                  list[str]]:
+    """A crashed shard's documents and dedup ids, rebuilt from its
+    journal (snapshot + tail).  Without a journal they died with it."""
+    if shard.durability is None:
+        return None, []
+    store, dedup_ids = shard.durability.recover()
+    return ServerDatabase(store=store), dedup_ids
+
+
+def _live_state(shard: ShardWorker) -> tuple[ServerDatabase, list[str]]:
+    """A drained shard's documents and dedup ids, read from its live
+    store and window."""
+    return shard.database, shard.dedup.snapshot()

@@ -36,6 +36,16 @@ def merge_status(statuses) -> str:
     return worst
 
 
+def sum_counters(documents) -> dict[str, float]:
+    """Key-by-key sum of the numeric counters of health ``documents``."""
+    counters: dict[str, float] = {}
+    for doc in documents:
+        for key, value in doc.get("counters", {}).items():
+            if isinstance(value, (int, float)):
+                counters[key] = counters.get(key, 0) + value
+    return counters
+
+
 class ClusterDatabase:
     """Typed facade routing the :class:`ServerDatabase` API by shard."""
 
@@ -144,11 +154,7 @@ class ClusterDatabase:
     def health(self) -> dict:
         shard_docs = {shard.shard_id: shard.database.health()
                       for shard in self._shards()}
-        counters: dict[str, int] = {}
-        for doc in shard_docs.values():
-            for key, value in doc.get("counters", {}).items():
-                if isinstance(value, (int, float)):
-                    counters[key] = counters.get(key, 0) + value
+        counters = sum_counters(shard_docs.values())
         status = merge_status(doc.get("status", STATUS_OK)
                               for doc in shard_docs.values())
         return {

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from repro.core.mobile.mqtt_service import REGISTRATION_FILTER
 from repro.core.server.manager import ServerSenSocialManager
-from repro.durability.errors import StorageWriteError
 
 #: Topic level carrying the device id in ``sensocial/register/+``.
 REGISTRATION_KEY_LEVEL = 2
@@ -76,48 +75,28 @@ class ShardWorker(ServerSenSocialManager):
                             partition=self.registration_partition)
 
     def drain(self) -> int:
-        """Synchronously flush the durable intake queue.
+        """Synchronously flush the durable intake queue (see
+        :meth:`repro.durability.ServerDurability.drain`).
 
         Scale-in and rolling upgrades drain a *healthy* shard before
-        touching it: every record already admitted (but not yet
-        journaled) is applied through the write-ahead journal now, so
-        the handoff starts from a settled store and nothing admitted
-        dies un-acked with the shard.  Records that keep failing the
-        journal append are quarantined exactly as the drain pump would
-        have.  Returns the number of records applied.
+        touching it, so the handoff starts from a settled store and
+        nothing admitted dies un-acked with the shard.  Returns the
+        number of intake items applied.
         """
-        if self.durability is None:
-            return 0
-        admission = self.durability.admission
-        drained = 0
-        while len(admission):
-            item = admission.pop()
-            try:
-                self._apply_intake(item)
-            except StorageWriteError:
-                item.attempts += 1
-                if item.attempts >= self.durability.config.max_apply_attempts:
-                    self.durability._quarantine(
-                        item.batch, item.reply_to, "repeated_write_failure")
-                else:
-                    admission.requeue(item)
-                continue
-            drained += 1
-        return drained
+        return self.durability.drain() if self.durability is not None else 0
 
-    def retire(self, *, unsubscribe: bool = False) -> None:
+    def retire(self) -> None:
         """Mark this worker permanently out of the cluster.
 
-        A *drained* shard retires cleanly (``unsubscribe=True``): its
-        broker session drops the registration subscription and
-        disconnects, so no dead subscription lingers to queue offline
-        registrations forever.  A *crashed* shard cannot — its network
-        endpoints are down — and keeps the session; the broker's
-        partition gate already stops routing it anything it no longer
-        owns.
+        A *drained* shard retires cleanly: its broker session drops the
+        registration subscription and disconnects, so no dead
+        subscription lingers to queue offline registrations forever.  A
+        *crashed* shard cannot — its network endpoints are down — and
+        keeps the session; the broker's partition gate already stops
+        routing it anything it no longer owns.
         """
         self.retired = True
-        if unsubscribe and self.mqtt.connected:
+        if not self.crashed and self.mqtt.connected:
             self.mqtt.unsubscribe(REGISTRATION_FILTER)
             self.mqtt.disconnect()
 

@@ -244,20 +244,45 @@ class ServerDurability:
         if not self.breaker.allow(now):
             self._ensure_pump()  # keep polling until the breaker half-opens
             return
+        if self._apply_next():
+            self.breaker.record_success()
+        else:
+            self.breaker.record_failure(now)
+        self._ensure_pump()
+
+    def drain(self) -> int:
+        """Synchronously flush the intake queue.
+
+        A cluster drains a healthy shard before scale-in or an upgrade
+        restart: every admitted item is applied through the journal
+        now, with the pump's requeue-or-quarantine decision on a failed
+        append, so the queue ends empty and nothing admitted dies
+        un-acked.  The breaker is the pump's pacing and is left alone.
+        Returns the number of intake items applied.
+        """
+        drained = 0
+        while len(self.admission):
+            drained += self._apply_next()
+        return drained
+
+    def _apply_next(self) -> bool:
+        """Apply the queue's next item; True when it was journaled.
+
+        A failed append requeues the item, or quarantines it once it
+        has failed ``max_apply_attempts`` times.
+        """
         item = self.admission.pop()
         try:
             self.server._apply_intake(item)
         except StorageWriteError:
-            self.breaker.record_failure(now)
             item.attempts += 1
             if item.attempts >= self.config.max_apply_attempts:
                 self._quarantine(item.batch, item.reply_to,
                                  "repeated_write_failure")
             else:
                 self.admission.requeue(item)
-        else:
-            self.breaker.record_success()
-        self._ensure_pump()
+            return False
+        return True
 
     # -- drops --------------------------------------------------------
 
@@ -399,8 +424,7 @@ class ServerDurability:
         writes run with the journal suspended and the whole imported
         state is folded into a single checkpoint — the new shard's
         journal cost is one snapshot write regardless of slice size
-        (the trade-off ``docs/SCALING.md`` quantifies against
-        per-document retained replay).
+        (``docs/SCALING.md`` §4).
 
         The caller must seed the server's dedup window *before* calling
         this: the checkpoint persists the dedup snapshot alongside the
@@ -480,8 +504,8 @@ class ServerDurability:
 
     def bootstrap_work(self) -> dict[str, int]:
         """Deterministic cost counters of this shard's journal medium
-        (appends + checkpoints), used by the elasticity benchmark to
-        compare snapshot bootstrap against retained replay."""
+        (appends + checkpoints); a cluster diffs them across a joining
+        shard's bootstrap to report what loading its slice cost."""
         return {"journal_appends": self.medium.appends,
                 "checkpoints": self.medium.checkpoints}
 

@@ -112,8 +112,7 @@ class ChaosController:
         self._cluster().rebalance()
 
     def _do_shard_add(self, event: FaultEvent) -> None:
-        self._cluster().add_shard(
-            strategy=event.params.get("strategy", "snapshot"))
+        self._cluster().add_shard()
 
     def _do_shard_drain(self, event: FaultEvent) -> None:
         self._cluster().remove_shard(event.params["shard"])
@@ -129,23 +128,25 @@ class ChaosController:
         # tests exercise.  Shards retired between scheduling and firing
         # are skipped; the final step accounts the completed sweep.
         delay = 0.0
-        active = [index for index, shard_id in enumerate(cluster._order)
-                  if not cluster._shards[shard_id].retired]
+        steps: list[dict] = []
+        active = [index for index, shard
+                  in enumerate(cluster.all_shard_workers())
+                  if not shard.retired]
         for position, index in enumerate(active):
             last = position == len(active) - 1
             self.world.scheduler.schedule(
-                delay, self._upgrade_one, (cluster, index, last))
+                delay, self._upgrade_one, (cluster, index, last, steps))
             delay += stagger
 
     def _upgrade_one(self, step: tuple) -> None:
-        cluster, index, last = step
-        shard = cluster._shard_at(index)
+        cluster, index, last, steps = step
+        shard = cluster.all_shard_workers()[index]
         if not shard.retired:
-            cluster.upgrade_shard(index)
+            steps.append(cluster.upgrade_shard(index))
             self.injected.append(
                 (self.world.now, f"rolling_upgrade_step {shard.shard_id}"))
         if last:
-            cluster.rolling_upgrades += 1
+            cluster.finish_rolling_upgrade(steps)
 
     def _cluster(self):
         if not hasattr(self.server, "crash_shard"):

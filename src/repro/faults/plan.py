@@ -148,14 +148,11 @@ class FaultPlan:
         self.add("shard_rebalance", at, "server")
         return self
 
-    def shard_add(self, at: float, strategy: str = "snapshot") -> "FaultPlan":
-        """Scale the cluster out by one shard mid-run.
-
-        ``strategy`` picks the bootstrap path for the joining shard's
-        migrated documents: ``"snapshot"`` (bulk import + one
-        checkpoint) or ``"replay"`` (per-document journaling).
-        """
-        self.add("shard_add", at, "server", strategy=strategy)
+    def shard_add(self, at: float) -> "FaultPlan":
+        """Scale the cluster out by one shard mid-run; a durable joining
+        shard bulk-imports its migrated documents under one
+        checkpoint."""
+        self.add("shard_add", at, "server")
         return self
 
     def shard_drain(self, at: float, shard: int) -> "FaultPlan":

@@ -445,63 +445,49 @@ def bench_shard_scaling(shard_counts: tuple[int, ...] = (1, 4),
 
 def bench_elasticity(users: int = 12, sim_minutes: float = 10.0,
                      seed: int = 45) -> dict:
-    """Mid-run scale-out cost: snapshot bootstrap vs retained replay.
+    """Mid-run scale-out cost of the snapshot bootstrap.
 
-    The same deployment — identical seed, identical workload — runs
-    twice on a durable 2-shard cluster; halfway through, a third shard
-    joins, once with each bootstrap strategy.  Determinism makes the
-    two runs move the *same* documents, so the only difference is how
-    the joining shard loads them: ``journal_appends`` (one per document
-    under replay, zero under snapshot) and ``checkpoints`` (one under
-    snapshot) are deterministic work counters the CI bound asserts on.
-    Zero-loss accounting is checked for both.
+    A durable 2-shard cluster runs the workload; halfway through, a
+    third shard joins and bulk-imports the migrated documents.
+    ``journal_appends`` (zero) and ``checkpoints`` (one) are the
+    deterministic work counters the CI bound asserts on, next to
+    zero-loss accounting and ring consistency.
     """
     from repro import Granularity, ModalityType, SenSocialTestbed
 
     sim_seconds = sim_minutes * 60.0
-    runs = {}
-    for strategy in ("snapshot", "replay"):
-        testbed = SenSocialTestbed(seed=seed, shards=2, durability=True)
-        cities = ["Paris", "Bordeaux", "London"]
-        for index in range(users):
-            testbed.add_user(f"user{index:02d}",
-                             home_city=cities[index % len(cities)])
-        for user_id in sorted(testbed.nodes):
-            testbed.server.create_stream(user_id, ModalityType.ACCELEROMETER,
-                                         Granularity.CLASSIFIED)
-        started = time.perf_counter()
-        testbed.run(sim_seconds / 2)
-        entry = testbed.server.add_shard(strategy=strategy)
-        testbed.run(sim_seconds / 2)
-        testbed.run(120.0)  # quiet tail: outboxes drain, retries land
-        elapsed = time.perf_counter() - started
-        enqueued = sum(node.manager.health()["enqueued"]
-                       for node in testbed.nodes.values())
-        queued = sum(node.manager.health()["queued"]
-                     for node in testbed.nodes.values())
-        dropped = sum(node.manager.health()["dropped"]
-                      for node in testbed.nodes.values())
-        ingested = testbed.server.health()["records_received"]
-        runs[strategy] = {
-            "strategy": strategy,
-            "moved_devices": entry["moved_devices"],
-            "documents": entry["bootstrap"]["documents"],
-            "journal_appends": entry["bootstrap"]["journal_appends"],
-            "checkpoints": entry["bootstrap"]["checkpoints"],
-            "records_ingested": int(ingested),
-            "records_lost": int(enqueued - queued - dropped - ingested),
-            "consistency_problems": len(testbed.server.verify_consistent()),
-            "wall_seconds": elapsed,
-        }
+    testbed = SenSocialTestbed(seed=seed, shards=2, durability=True)
+    cities = ["Paris", "Bordeaux", "London"]
+    for index in range(users):
+        testbed.add_user(f"user{index:02d}",
+                         home_city=cities[index % len(cities)])
+    for user_id in sorted(testbed.nodes):
+        testbed.server.create_stream(user_id, ModalityType.ACCELEROMETER,
+                                     Granularity.CLASSIFIED)
+    started = time.perf_counter()
+    testbed.run(sim_seconds / 2)
+    entry = testbed.server.add_shard()
+    testbed.run(sim_seconds / 2)
+    testbed.run(120.0)  # quiet tail: outboxes drain, retries land
+    elapsed = time.perf_counter() - started
+    enqueued = sum(node.manager.health()["enqueued"]
+                   for node in testbed.nodes.values())
+    queued = sum(node.manager.health()["queued"]
+                 for node in testbed.nodes.values())
+    dropped = sum(node.manager.health()["dropped"]
+                  for node in testbed.nodes.values())
+    ingested = testbed.server.health()["records_received"]
     return {
         "users": users,
         "sim_seconds": sim_seconds,
-        "snapshot": runs["snapshot"],
-        "replay": runs["replay"],
-        #: Journal appends the snapshot bootstrap avoided (== documents
-        #: migrated, since replay journals each one individually).
-        "appends_saved": (runs["replay"]["journal_appends"]
-                          - runs["snapshot"]["journal_appends"]),
+        "moved_devices": entry["moved_devices"],
+        "documents": entry["bootstrap"]["documents"],
+        "journal_appends": entry["bootstrap"]["journal_appends"],
+        "checkpoints": entry["bootstrap"]["checkpoints"],
+        "records_ingested": int(ingested),
+        "records_lost": int(enqueued - queued - dropped - ingested),
+        "consistency_problems": len(testbed.server.verify_consistent()),
+        "wall_seconds": elapsed,
     }
 
 
@@ -679,15 +665,9 @@ def format_summary(entry: dict) -> str:
             f"{f'x{factor:.2f}' if factor else 'n/a'}")
     elasticity = entry.get("elasticity")
     if elasticity is not None:
-        for strategy in ("snapshot", "replay"):
-            point = elasticity[strategy]
-            lines.append(
-                f"  elastic  {strategy:8s} bootstrap: "
-                f"{point['documents']} docs moved, "
-                f"{point['journal_appends']} journal appends + "
-                f"{point['checkpoints']} checkpoints, "
-                f"{point['records_lost']} lost")
         lines.append(
-            f"  elastic  snapshot bootstrap saved "
-            f"{elasticity['appends_saved']} journal appends")
+            f"  elastic  bootstrap: {elasticity['documents']} docs moved, "
+            f"{elasticity['journal_appends']} journal appends + "
+            f"{elasticity['checkpoints']} checkpoints, "
+            f"{elasticity['records_lost']} lost")
     return "\n".join(lines)

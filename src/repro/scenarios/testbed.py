@@ -87,38 +87,35 @@ class SenSocialTestbed:
         self.durability = None
         #: Per-shard durability controllers (cluster deployments only).
         self.durabilities = None
-        durability_config = None
         if durability:
             from repro.durability import DurabilityConfig, ServerDurability
             durability_config = (
                 durability if isinstance(durability, DurabilityConfig)
                 else None)
-            if shards is None:
+        if shards is None:
+            if durability:
                 self.durability = ServerDurability(self.world,
                                                    durability_config)
-            else:
-                self.durabilities = [
-                    ServerDurability(self.world, durability_config)
-                    for _ in range(shards)]
-                self.durability = self.durabilities[0]
-        if shards is None:
             self.server = ServerSenSocialManager(self.world, self.network,
                                                  durability=self.durability)
         else:
             from repro.cluster import ClusterCoordinator
             durability_factory = None
             if durability:
+                self.durabilities = []
+
                 def durability_factory():
-                    # Shards joining via add_shard() get their own
-                    # controller, tracked alongside the initial ones.
+                    # Every shard, initial or joining via add_shard(),
+                    # gets its own controller, tracked here.
                     controller = ServerDurability(self.world,
                                                   durability_config)
                     self.durabilities.append(controller)
                     return controller
             self.server = ClusterCoordinator(
                 self.world, self.network, shards=shards,
-                durability=self.durabilities,
                 durability_factory=durability_factory)
+            if durability:
+                self.durability = self.durabilities[0]
         self.server.start()
         # Let the server's broker session settle before devices deploy:
         # a registration published before the server's subscription

@@ -95,10 +95,11 @@ CLUSTER_USERS = ("alice", "bob", "carol", "dave", "erin", "frank")
 
 
 def run_cluster_scenario(seed: int, plan: FaultPlan | None, *,
-                         shards: int = 3):
+                         shards: int = 3, observability: bool = False):
     """A sharded durable cluster under a fault plan; returns the
     testbed and controller after the horizon plus a quiet tail."""
-    testbed = SenSocialTestbed(seed=seed, shards=shards, durability=True)
+    testbed = SenSocialTestbed(seed=seed, shards=shards, durability=True,
+                               observability=observability)
     for user_id in CLUSTER_USERS:
         testbed.add_user(user_id, "Paris")
     for user_id in CLUSTER_USERS:
@@ -149,6 +150,26 @@ class TestElasticChaos:
                  if "rolling_upgrade_step" in entry[1]]
         assert len(steps) == 3
 
+    def test_staggered_sweep_is_accounted_like_an_instant_one(self):
+        """Spacing a rolling upgrade's steps out changes when they run,
+        not how the finished sweep is accounted: the same sweep count,
+        the same telemetry counter and the same ``rolling_restart``
+        summary as an instant sweep."""
+        def sweep(stagger):
+            plan = FaultPlan("upgrade").rolling_upgrade(at=400.0,
+                                                        stagger=stagger)
+            testbed, _ = run_cluster_scenario(3, plan, shards=2,
+                                              observability=True)
+            cluster = testbed.server
+            [summary] = [entry for entry in cluster.lifecycle_log
+                         if entry["op"] == "rolling_restart"]
+            counter = testbed.obs.telemetry.counter(
+                "cluster_rolling_upgrades")
+            return (cluster.rolling_upgrades, counter.value,
+                    summary["shards"], summary["drained"])
+
+        assert sweep(60.0) == sweep(0.0) == (1, 1, ["shard-0", "shard-1"], 0)
+
     def test_scale_in_hands_off_without_loss(self):
         plan = (FaultPlan("scale-in")
                 .shard_drain(at=500.0, shard=0))
@@ -164,7 +185,7 @@ class TestElasticChaos:
         """Scale out, upgrade the fleet, crash+rebalance, scale in —
         the whole lifecycle in one run, ending consistent and lossless."""
         plan = (FaultPlan("lifecycle-gauntlet")
-                .shard_add(at=240.0, strategy="replay")
+                .shard_add(at=240.0)
                 .rolling_upgrade(at=480.0, stagger=30.0)
                 .shard_crash(at=720.0, shard=0, rebalance_after=60.0)
                 .shard_drain(at=960.0, shard=1))

@@ -40,6 +40,7 @@ from repro.core.common import (
 )
 from repro.core.common.errors import MiddlewareError
 from repro.core.server.multicast import MulticastQuery
+from repro.durability import DurabilityConfig
 from repro.durability.codec import fingerprint_store
 from repro.faults import ChaosController, FaultPlan
 from repro.osn.generator import ActionWorkloadGenerator
@@ -536,20 +537,9 @@ class TestElasticLifecycle:
 
     def test_snapshot_bootstrap_skips_the_journal(self):
         testbed = self.streaming_cluster(shards=2)
-        entry = testbed.server.add_shard(strategy="snapshot")
+        entry = testbed.server.add_shard()
         assert entry["bootstrap"]["journal_appends"] == 0
         assert entry["bootstrap"]["checkpoints"] == 1
-
-    def test_replay_bootstrap_journals_every_document(self):
-        testbed = self.streaming_cluster(shards=2)
-        entry = testbed.server.add_shard(strategy="replay")
-        assert entry["bootstrap"]["journal_appends"] \
-            == entry["bootstrap"]["documents"] > 0
-
-    def test_add_shard_rejects_unknown_strategy(self):
-        testbed = deploy(shards=2)
-        with pytest.raises(MiddlewareError):
-            testbed.server.add_shard(strategy="teleport")
 
     def test_add_shard_grows_a_one_shard_cluster(self):
         testbed = self.streaming_cluster(shards=1)
@@ -620,6 +610,32 @@ class TestElasticLifecycle:
         one = deploy(shards=1, users=["alice"])
         with pytest.raises(MiddlewareError):  # last active shard
             one.server.remove_shard(0)
+
+    def test_drain_quarantines_an_item_whose_appends_keep_failing(self):
+        """Scale-in drains through the journal's own apply step: a
+        queued item whose appends fail ``max_apply_attempts`` times is
+        quarantined, every other item is applied, and the queue ends
+        empty.  The breaker is the pump's, and the drain leaves it
+        alone."""
+        users = [f"user{index}" for index in range(6)]
+        testbed = deploy(shards=2, seed=5, users=users,
+                         durability=DurabilityConfig(drain_interval_s=30.0,
+                                                     max_apply_attempts=3))
+        for user_id in users:
+            testbed.server.create_stream(
+                user_id, ModalityType.ACCELEROMETER, Granularity.CLASSIFIED)
+        testbed.run(200)
+        victim = testbed.server.shard_workers()[0].durability
+        assert len(victim.admission) == 10
+        victim.medium.inject_write_failures(3)
+        entry = testbed.server.remove_shard(0)
+        assert entry["drained"] == 9
+        assert victim.medium.append_failures == 3
+        assert victim.records_quarantined == 1
+        assert victim.quarantine.reasons() == {"repeated_write_failure": 1}
+        assert len(victim.admission) == 0
+        assert victim.breaker.to_dict() == {
+            "state": "closed", "trips": 0, "consecutive_failures": 0}
 
     def test_storage_faults_follow_the_live_shard(self):
         testbed = self.streaming_cluster(shards=2)
