@@ -20,10 +20,11 @@ hard CI assertion while wall-clock figures stay informational.
 
 from __future__ import annotations
 
+import time
+
 from benchmarks.conftest import run_once
 from repro.core.common import Granularity, ModalityType
 from repro.faults import ChaosController, FaultPlan
-from repro.perf.harness import bench_elasticity, bench_shard_scaling
 from repro.scenarios.testbed import SenSocialTestbed
 
 USERS = 16
@@ -33,16 +34,102 @@ REBALANCE_AFTER_S = 60.0
 SCALING_FLOOR = 3.0
 
 
-def crash_run() -> dict:
-    """4-shard durable run with a mid-run shard crash + rebalance."""
-    testbed = SenSocialTestbed(seed=11, shards=4, durability=True)
+def deploy(seed: int, shards: int, users: int,
+           durability: bool = False) -> SenSocialTestbed:
+    """A cluster of ``shards`` with one continuous server-created
+    accelerometer stream per user; home cities cycle."""
+    testbed = SenSocialTestbed(seed=seed, shards=shards,
+                               durability=durability)
     cities = ["Paris", "Bordeaux", "London"]
-    for index in range(USERS):
+    for index in range(users):
         testbed.add_user(f"user{index:02d}",
                          home_city=cities[index % len(cities)])
     for user_id in sorted(testbed.nodes):
         testbed.server.create_stream(user_id, ModalityType.ACCELEROMETER,
                                      Granularity.CLASSIFIED)
+    return testbed
+
+
+def bench_shard_scaling(shard_counts: tuple[int, ...] = (1, 4),
+                        users: int = 16, sim_minutes: float = 10.0,
+                        seed: int = 44) -> dict:
+    """Per-shard ingest+filter work as the cluster widens.
+
+    The same deployment — ``users`` devices, one continuous stream each
+    — runs against clusters of each size in ``shard_counts``.  The
+    metric is the *maximum* per-shard deterministic work counter
+    (records ingested + replayed duplicates + OSN actions; see
+    ``ShardWorker.work_done``): the hottest shard bounds the cluster's
+    capacity, so ``max_shard_work(1) / max_shard_work(N)`` is the
+    scaling factor the consistent-hash placement actually delivers.
+    """
+    points = []
+    for shards in shard_counts:
+        testbed = deploy(seed, shards, users)
+        started = time.perf_counter()
+        testbed.run(sim_minutes * 60.0)
+        elapsed = time.perf_counter() - started
+        work = testbed.server.cluster_report()["work"]
+        health = testbed.server.health()
+        points.append({
+            "shards": shards,
+            "users": users,
+            "records_ingested": int(health["records_received"]),
+            "total_work": sum(work.values()),
+            "max_shard_work": max(work.values()),
+            "per_shard_work": work,
+            "wall_seconds": elapsed,
+        })
+    first, last = points[0], points[-1]
+    return {
+        "points": points,
+        "scaling_factor": (first["max_shard_work"] / last["max_shard_work"]
+                           if last["max_shard_work"] else None),
+    }
+
+
+def bench_elasticity(users: int = 12, sim_minutes: float = 10.0,
+                     seed: int = 45) -> dict:
+    """Mid-run scale-out cost of the snapshot bootstrap.
+
+    A durable 2-shard cluster runs the workload; halfway through, a
+    third shard joins and bulk-imports the migrated documents.
+    ``journal_appends`` (zero) and ``checkpoints`` (one) are the
+    deterministic work counters the gate asserts on, next to zero-loss
+    accounting and ring consistency.
+    """
+    sim_seconds = sim_minutes * 60.0
+    testbed = deploy(seed, 2, users, durability=True)
+    started = time.perf_counter()
+    testbed.run(sim_seconds / 2)
+    entry = testbed.server.add_shard()
+    testbed.run(sim_seconds / 2)
+    testbed.run(120.0)  # quiet tail: outboxes drain, retries land
+    elapsed = time.perf_counter() - started
+    enqueued = sum(node.manager.health()["enqueued"]
+                   for node in testbed.nodes.values())
+    queued = sum(node.manager.health()["queued"]
+                 for node in testbed.nodes.values())
+    dropped = sum(node.manager.health()["dropped"]
+                  for node in testbed.nodes.values())
+    ingested = testbed.server.health()["records_received"]
+    return {
+        "users": users,
+        "sim_seconds": sim_seconds,
+        "moved_devices": entry["moved_devices"],
+        "documents": entry["bootstrap"]["documents"],
+        "journal_appends": entry["bootstrap"]["journal_appends"],
+        "checkpoints": entry["bootstrap"]["checkpoints"],
+        "records_ingested": int(ingested),
+        "records_lost": int(enqueued - queued - dropped - ingested),
+        "consistency_problems": len(testbed.server.verify_consistent()),
+        "wall_seconds": elapsed,
+    }
+
+
+def crash_run() -> dict:
+    """4-shard durable run with a mid-run shard crash + rebalance."""
+    testbed = deploy(11, 4, USERS, durability=True)
     controller = ChaosController(testbed)
     controller.apply(FaultPlan("shard-crash").shard_crash(
         at=CRASH_AT_S, shard=0, rebalance_after=REBALANCE_AFTER_S))

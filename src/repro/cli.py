@@ -1,10 +1,13 @@
-"""Command-line interface: canned demos and the experiment index.
+"""Command-line interface: canned demos, fault-plan and population
+runs, and the experiment index.
 
 Usage::
 
     python -m repro demo paris --hours 3
     python -m repro demo sensor-map --users 3 --minutes 60
     python -m repro chaos --plan broker-restart --minutes 10
+    python -m repro scenario city-day --devices 100000
+    python -m repro scenario flash-crowd --chaos --seed 7
     python -m repro obs --scenario paris --ticks 900
     python -m repro slo --plan slo-burn --minutes 10
     python -m repro experiments
@@ -13,6 +16,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 
 from repro import __version__
@@ -101,33 +105,10 @@ def _demo_sensor_map(args) -> int:
     return 0
 
 
-def _chaos_scenario(args) -> int:
-    """Population-scale chaos: run a named scenario's partition episode
-    and judge it on the store-carry-forward accounting invariant."""
-    from repro.perf import bench_scenario, write_report
-    from repro.perf.harness import format_scenario_summary
-
-    entry = bench_scenario(
-        args.scenario, args.devices, seed=args.seed,
-        active_cap=args.active_cap, chaos=True)
-    print(format_scenario_summary(entry))
-    report = entry["scenario"]
-    problems = list(report["verify_problems"])
-    if report["flushes"] == 0:
-        problems.append("partition episode produced no reconnect flushes")
-    for problem in problems:
-        print(f"INCONSISTENT: {problem}", file=sys.stderr)
-    if args.output:
-        write_report(entry, path=args.output)
-    return 1 if problems else 0
-
-
 def _chaos(args) -> int:
     from repro import Granularity, ModalityType, SenSocialTestbed
     from repro.faults import ChaosController, build_plan
 
-    if args.scenario:
-        return _chaos_scenario(args)
     horizon = args.minutes * 60.0
     plan = build_plan(args.plan, horizon)
     # A plan that declares expected SLO alerts needs the control plane
@@ -419,27 +400,60 @@ def _cluster(args) -> int:
     return 0 if report.records_lost == 0 and not problems else 1
 
 
-def _perf(args) -> int:
-    from repro.perf import bench_scenario, run_all, write_report
-    from repro.perf.harness import format_scenario_summary, format_summary
+def _format_scenario(report: dict) -> str:
+    """Digest of a :func:`repro.scenarios.run_scenario` report."""
+    lines = [f"scenario {report['scenario']} "
+             f"({report['devices']:,} devices)"]
+    lines.append(
+        f"  events   {report['events']:,} in {report['wall_s']:.2f} wall-s "
+        f"({report['events_per_wall_s']:,.0f} events/s, horizon "
+        f"{report['horizon_s']:.0f} sim-s)")
+    lines.append(
+        f"  records  {report['emitted']:,} emitted = "
+        f"{report['delivered']:,} delivered + "
+        f"{report['buffered_residual']:,} carried + "
+        f"{report['dropped']:,} dropped "
+        f"({report['flushes']} reconnect flushes)")
+    lines.append(
+        f"  memory   peak {report['peak_active']:,} resident devices "
+        f"(cap {report['active_cap']:,}), cold store "
+        f"{report['store_bytes']:,} B "
+        f"({report['store_bytes_per_device']:.0f} B/device), "
+        f"{report['hibernations']:,} hibernations / "
+        f"{report['rehydrations']:,} rehydrations")
+    if report["cascade_actions"]:
+        lines.append(f"  cascade  {report['cascade_actions']:,} OSN actions "
+                     f"({report['cascade_skipped']} skipped)")
+    lines.append(f"  order    delivery fingerprint "
+                 f"{report['delivery_fingerprint']}")
+    problems = report["verify_problems"]
+    lines.append("  verify   " + ("ok" if not problems
+                                  else "; ".join(problems)))
+    return "\n".join(lines)
 
-    if args.scenario:
-        entry = bench_scenario(
-            args.scenario, args.devices, seed=args.seed,
-            sim_seconds=args.sim_seconds,
-            events_per_device=args.events_per_device,
-            active_cap=args.active_cap)
-        print(format_scenario_summary(entry))
-        failed = bool(entry["scenario"]["verify_problems"])
-    else:
-        entry = run_all(quick=args.quick)
-        print(format_summary(entry))
-        failed = False
-    if not args.no_write:
-        document = write_report(entry, path=args.output)
-        print(f"\nperf trajectory: {args.output} "
-              f"({len(document['history'])} entries)")
-    return 1 if failed else 0
+
+def _scenario(args) -> int:
+    """Run one named population scenario and judge its accounting;
+    ``--chaos`` runs its partition episode, which must end in
+    reconnect flushes."""
+    from repro.scenarios import run_scenario
+
+    report = run_scenario(
+        args.name, args.devices, seed=args.seed,
+        sim_seconds=args.sim_seconds,
+        events_per_device=args.events_per_device,
+        active_cap=args.active_cap, chaos=args.chaos)
+    print(_format_scenario(report))
+    problems = list(report["verify_problems"])
+    if args.chaos and report["flushes"] == 0:
+        problems.append("partition episode produced no reconnect flushes")
+    for problem in problems:
+        print(f"INCONSISTENT: {problem}", file=sys.stderr)
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as handle:
+            json.dump(report, handle, indent=2, sort_keys=True)
+            handle.write("\n")
+    return 1 if problems else 0
 
 
 def _experiments(args) -> int:
@@ -490,17 +504,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="journaled server: write-ahead log, crash "
                             "recovery, admission control (required by "
                             "server-crash / storage-stress plans)")
-    chaos.add_argument("--scenario", default=None,
-                       help="run a named population scenario's chaos "
-                            "episode (e.g. flash-crowd) instead of a "
-                            "fault plan")
-    chaos.add_argument("--devices", type=int, default=10_000,
-                       help="population size for --scenario chaos runs")
-    chaos.add_argument("--active-cap", type=int, default=4096,
-                       help="max resident devices for --scenario runs")
-    chaos.add_argument("--output", default=None,
-                       help="append the --scenario chaos datapoint to "
-                            "this perf trajectory file")
     chaos.add_argument("--slo", action="store_true",
                        help="deploy the SLO control plane (burn-rate "
                             "alerts + adaptive sensing backoff); implied "
@@ -599,32 +602,30 @@ def build_parser() -> argparse.ArgumentParser:
                               "(0 = all at one instant)")
     cluster.set_defaults(handler=_cluster)
 
-    perf = subparsers.add_parser(
-        "perf", help="run the hot-path microbenchmarks and record the "
-                     "perf trajectory")
-    perf.add_argument("--quick", action="store_true",
-                      help="smaller sizes (CI smoke)")
-    perf.add_argument("--output", default="BENCH_PERF.json",
-                      help="trajectory file to append to")
-    perf.add_argument("--no-write", action="store_true",
-                      help="print the summary without touching the "
-                           "trajectory file")
-    perf.add_argument("--scenario", default=None,
-                      help="run a named population scenario instead of "
-                           "the classic suite (city-day, flash-crowd, "
-                           "viral-cascade, dtn-partition)")
-    perf.add_argument("--devices", type=int, default=10_000,
-                      help="population size for --scenario runs")
-    perf.add_argument("--seed", type=int, default=0)
-    perf.add_argument("--sim-seconds", type=float, default=None,
-                      help="override the scenario's horizon (compressed "
-                           "CI runs)")
-    perf.add_argument("--events-per-device", type=float, default=None,
-                      help="override the scenario's mean sense events "
-                           "per device")
-    perf.add_argument("--active-cap", type=int, default=4096,
-                      help="max resident devices (streaming substrate)")
-    perf.set_defaults(handler=_perf)
+    from repro.scenarios import SCENARIOS
+
+    scenario = subparsers.add_parser(
+        "scenario", help="run a named population scenario and check its "
+                         "record accounting")
+    scenario.add_argument("name", choices=sorted(SCENARIOS))
+    scenario.add_argument("--devices", type=int, default=10_000,
+                          help="population size")
+    scenario.add_argument("--seed", type=int, default=0)
+    scenario.add_argument("--sim-seconds", type=float, default=None,
+                          help="override the scenario's horizon "
+                               "(compressed CI runs)")
+    scenario.add_argument("--events-per-device", type=float, default=None,
+                          help="override the scenario's mean sense events "
+                               "per device")
+    scenario.add_argument("--active-cap", type=int, default=4096,
+                          help="max resident devices (streaming substrate)")
+    scenario.add_argument("--chaos", action="store_true",
+                          help="run the scenario's partition episode; "
+                               "exit 1 if it made no reconnect flushes")
+    scenario.add_argument("--output", metavar="PATH",
+                          help="write the run's report as one JSON "
+                               "document")
+    scenario.set_defaults(handler=_scenario)
 
     experiments = subparsers.add_parser(
         "experiments", help="list the paper experiments and their benches")

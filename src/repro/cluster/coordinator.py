@@ -392,6 +392,10 @@ class ClusterCoordinator(ApplicationPlane, Endpoint):
                         if self._durability_factory is not None else None),
             filters=self.filters, stream_seq=self._stream_seq,
             processing_delay=self._processing_delay)
+        if shard_id == "shard-0":
+            # Jitter follows the role: shard 0 serves in the monolith's
+            # place, so a one-shard cluster reconnects when it would.
+            worker.mqtt.draw_jitter_as(self.address)
         self._shards[shard_id] = worker
         self._order.append(shard_id)
         self._hook_registration(worker)

@@ -131,10 +131,9 @@ class MobileSenSocialManager:
         self.triggers_handled = 0
         self.records_transmitted = 0
         self.records_acked = 0
-        #: Envelope accounting, the uplink mirror of the broker's
-        #: ``batch_publishes`` / ``batched_records_routed``: wire
-        #: envelopes sent and the records they carried.  Equal values
-        #: mean every flush was a batch of one (no backlog coalesced).
+        #: Envelope accounting: wire envelopes sent and the records
+        #: they carried.  Equal values mean every flush was a batch of
+        #: one (no backlog coalesced).
         self.batches_sent = 0
         self.batched_records_sent = 0
         #: Server-pushed sensing-rate backoff: continuous duty cycles

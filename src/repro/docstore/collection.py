@@ -256,7 +256,8 @@ class Collection:
         self.scans = 0          # full scans performed (observability)
         self.index_lookups = 0  # queries served via an index
         #: Candidate documents actually tested against a predicate —
-        #: the planner's effectiveness metric (see ``repro perf``).
+        #: the planner's effectiveness metric (see
+        #: ``benchmarks/test_hotpath_perf.py``).
         self.candidates_examined = 0
 
     # -- writes -------------------------------------------------------

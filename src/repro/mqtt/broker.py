@@ -88,12 +88,6 @@ class MqttBroker(Endpoint):
         self._obs_counters: dict[tuple[str, str], Any] = {}
         self.messages_routed = 0
         self.publishes_received = 0
-        #: Batch envelopes routed (one trie walk fans out N records).
-        self.batch_publishes = 0
-        #: Logical records those envelopes carried — with
-        #: ``publishes_received`` this yields trie routings *per
-        #: record*, the batching win the perf gate asserts on.
-        self.batched_records_routed = 0
         #: Deliveries suppressed by shard partition specs (shard-aware
         #: topic routing; see ``_partition_allows``).
         self.partition_filtered = 0
@@ -217,9 +211,9 @@ class MqttBroker(Endpoint):
     @property
     def routing_checks(self) -> int:
         """Cumulative routing work (trie nodes visited + subscriber
-        entries considered).  The perf harness diffs this across
-        publishes to prove per-publish work is sublinear in the total
-        subscription count."""
+        entries considered).  ``benchmarks/test_hotpath_perf.py``
+        diffs this across publishes to prove per-publish work is
+        sublinear in the total subscription count."""
         return self._subscriptions.checks
 
     # -- packet handlers ----------------------------------------------
@@ -315,15 +309,6 @@ class MqttBroker(Endpoint):
     def _on_publish(self, src: str, packet: packets.Publish) -> None:
         levels = validate_topic(packet.topic)
         self.publishes_received += 1
-        payload = packet.payload
-        if type(payload) is dict and "batch_wire" in payload:
-            # A columnar batch envelope (repro.core.common.batch): the
-            # single trie walk below routes every record it carries.
-            self.batch_publishes += 1
-            self.batched_records_routed += payload.get("n", 1)
-            if self._obs is not None:
-                self._obs.telemetry.histogram(
-                    "batch_size", stage="broker").observe(payload.get("n", 1))
         if self._obs is not None:
             self._counter("broker_publishes_received", packet.topic).inc()
         session = self._session_for(src)

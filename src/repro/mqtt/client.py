@@ -276,22 +276,11 @@ class MqttClient(Endpoint):
         """Drop every held message: its publisher's process died."""
         self._held.clear()
 
-    def publish_batch(self, topic: str, payloads, qos: int = 0,
-                      retain: bool = False,
-                      on_ack: Callable[[], None] | None = None) -> None:
-        """Publish N payloads as one columnar batch envelope.
-
-        The broker walks the subscription trie once for the whole
-        envelope instead of once per payload; subscribers receive the
-        envelope dict (``batch_wire`` marker, ``n``, ``payloads``) and
-        unpack it themselves.  QoS applies to the envelope: one PUBACK
-        covers all members, and a retransmission replays them all —
-        receivers dedup members, not packets.
-        """
-        payloads = list(payloads)
-        envelope = {"batch_wire": 1, "n": len(payloads),
-                    "payloads": payloads}
-        self.publish(topic, envelope, qos=qos, retain=retain, on_ack=on_ack)
+    def draw_jitter_as(self, role: str) -> None:
+        """Draw reconnect jitter from ``role``'s stream instead of this
+        client id's, so a client standing in for ``role`` reconnects
+        when that one would."""
+        self._reconnect_rng = self._world.rng(f"mqtt-reconnect-{role}")
 
     def subscription_filters(self) -> list[str]:
         return sorted(self._callbacks)

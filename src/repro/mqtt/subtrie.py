@@ -17,8 +17,9 @@ matches:
   to a new subscription without scanning the whole retained table.
 
 Both tries count the work they do (nodes visited + entries considered)
-in ``checks``, which the perf harness reads to prove routing work per
-publish is sublinear in the total subscription count.
+in ``checks``, which ``benchmarks/test_hotpath_perf.py`` reads to
+prove routing work per publish is sublinear in the total subscription
+count.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ class SubscriptionTrie:
         self._root = _SubNode()
         self._filters = 0
         #: Cumulative match work: nodes visited plus subscriber entries
-        #: considered.  The perf harness diffs this across publishes.
+        #: considered.  The hot-path gate diffs this across publishes.
         self.checks = 0
 
     def __len__(self) -> int:

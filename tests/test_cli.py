@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import main
@@ -45,6 +47,33 @@ class TestCli:
         out = capsys.readouterr().out
         assert "observability:" in out
         assert "chain completeness" in out
+
+    def test_scenario_accounts_for_every_record(self, capsys):
+        assert main(["scenario", "city-day", "--devices", "300"]) == 0
+        out = capsys.readouterr().out
+        assert "1,759 emitted = 1,759 delivered" in out
+        assert "verify   ok" in out
+
+    def test_scenario_chaos_episode_flushes_on_reconnect(self, capsys):
+        assert main(["scenario", "flash-crowd", "--chaos",
+                     "--devices", "300", "--seed", "7"]) == 0
+        out = capsys.readouterr().out
+        assert "1,511 emitted = 1,505 delivered + 6 carried" in out
+        assert "(33 reconnect flushes)" in out
+
+    def test_scenario_output_writes_the_report(self, capsys, tmp_path):
+        target = tmp_path / "report.json"
+        assert main(["scenario", "city-day", "--devices", "300",
+                     "--output", str(target)]) == 0
+        report = json.loads(target.read_text())
+        assert report["verify_problems"] == []
+        assert (report["scenario"], report["devices"]) == ("city-day", 300)
+
+    def test_population_runs_have_one_entry(self):
+        for argv in (["perf", "--scenario", "city-day"],
+                     ["chaos", "--scenario", "flash-crowd"]):
+            with pytest.raises(SystemExit):
+                main(argv)
 
     def test_missing_command_errors(self):
         with pytest.raises(SystemExit):

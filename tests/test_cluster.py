@@ -204,21 +204,13 @@ class TestOneShardMatchesMonolith:
                              ids=["durable", "volatile"])
     @pytest.mark.parametrize("plan, driver", [
         ("server_crash", drive), ("partition", drive),
-        ("server_crash", drive_social)],
-        ids=["server_crash", "partition", "server_crash-social"])
+        ("server_crash", drive_social), ("partition", drive_social)],
+        ids=["server_crash", "partition", "server_crash-social",
+             "partition-social"])
     def test_one_shard_cluster_matches_monolith_through_faults(
             self, plan, driver, durability):
         """A volatile restart is amnesiac on both topologies: OSN
-        triggers must not reach a device the restarted server forgot.
-
-        ``drive_social`` under a partition is left out: the two
-        topologies do not reconnect at the same instant, because the
-        reconnect backoff's jitter stream is named after the MQTT
-        client id (``mqtt-reconnect-sensocial-server`` on the monolith,
-        ``mqtt-reconnect-sensocial-shard-0`` on the worker), so records
-        sensed on the deferred trigger carry timestamps about 0.33 s
-        apart.  ``test_trigger_during_partition_is_deferred`` runs it.
-        """
+        triggers must not reach a device the restarted server forgot."""
         def run(shards):
             testbed = deploy(shards=shards, durability=durability,
                              users=USERS if driver is drive else [])
